@@ -61,6 +61,11 @@ def table_count(order: int) -> int:
     return order ** (order * order)
 
 
+def _require_order(order: int) -> None:
+    if order < 1:
+        raise PreconditionError(f"order must be >= 1, got {order}")
+
+
 def _tables(order: int):
     n = order
     for flat in itertools.product(range(n), repeat=n * n):
@@ -69,6 +74,7 @@ def _tables(order: int):
 
 def all_groupoids(order: int):
     """Every table of the order, ascending by row-major flattened cells."""
+    _require_order(order)
     if order > ENUMERATION_ORDER_LIMIT:
         raise OrderTooLarge(
             f"exhaustive enumeration supports order <= {ENUMERATION_ORDER_LIMIT}"
@@ -80,8 +86,7 @@ def all_groupoids(order: int):
 
 def random_groupoids(order: int, count: int, seed=None):
     """``count`` i.i.d. uniform tables; cells drawn row-major."""
-    if order < 1:
-        raise PreconditionError("order must be >= 1")
+    _require_order(order)
     rng = random.Random(seed)
     n = order
     for _ in range(count):
@@ -168,11 +173,12 @@ def _census_range(order, start, stop):
 
 def census(order: int, workers=None) -> CensusReport:
     """Count every census flag over all tables of the order."""
-    total = table_count(order)
+    _require_order(order)
     if order > ENUMERATION_ORDER_LIMIT:
         raise OrderTooLarge(
             f"census supports order <= {ENUMERATION_ORDER_LIMIT}"
         )
+    total = table_count(order)
     workers = _resolve_workers(workers, total)
     if workers == 1:
         counts = _census_range(order, 0, total)
@@ -859,6 +865,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     ``claims`` lists specific ids, only those, in the given order.
     """
     global _ACTIVE_CTX
+    _require_order(order)
     if claims is None:
         selected = list(CLAIMS)
     else:

@@ -26,7 +26,7 @@ from .core import (
     left_zero,
 )
 from .errors import InternalError, OrderMismatch, OrderTooLarge
-from .semigroup import identity, is_identity, product
+from .semigroup import _pair_map, is_identity, product
 
 # Exhaustive shape searches enumerate n**(free cells) candidates.
 EXHAUSTIVE_ORDER_LIMIT = 3
@@ -481,11 +481,14 @@ def _solve_exhaustive(g, m):
 
 
 def binary_equivalent(a: Groupoid, b: Groupoid, witness: Groupoid | None = None):
-    """A table w with w ⋄ a = b and w ⋄ b = a, or None.
+    """A table w with w ⋄ a = b and w ⋄ b = a, or None; any order.
 
-    A supplied witness is checked first; otherwise (and when the witness
-    fails) the tables of that order are scanned lexicographically, which
-    is supported up to order EXHAUSTIVE_ORDER_LIMIT.
+    A supplied witness is checked first.  Otherwise (and when the witness
+    fails) w is built through the pair maps: the equations read
+    φ_a[φ_w[i]] = φ_b[i] and φ_b[φ_w[i]] = φ_a[i] cell by cell, and φ_w is
+    chosen independently on each swap orbit {(x, y), (y, x)}, a diagonal
+    cell going to a diagonal cell.  Taking the smallest choice in each
+    orbit gives the lexicographically first witness among all tables.
     """
     if a.order != b.order:
         raise OrderMismatch(f"orders {a.order} and {b.order} differ")
@@ -494,13 +497,20 @@ def binary_equivalent(a: Groupoid, b: Groupoid, witness: Groupoid | None = None)
             raise OrderMismatch(f"witness order {witness.order} != {a.order}")
         if product(witness, a) == b and product(witness, b) == a:
             return witness
-    if a.order > EXHAUSTIVE_ORDER_LIMIT:
-        raise OrderTooLarge(
-            f"equivalence search supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
-        )
-    from .enumeration import all_groupoids
-
-    for w in all_groupoids(a.order):
-        if product(w, a) == b and product(w, b) == a:
-            return w
-    return None
+    n = a.order
+    pa, pb = _pair_map(a), _pair_map(b)
+    # (φ_a[j], φ_b[j]) -> smallest such j, over all cells and over the diagonal
+    first, first_diagonal = {}, {}
+    for j in range(n * n):
+        first.setdefault((pa[j], pb[j]), j)
+    for j in range(0, n * n, n + 1):
+        first_diagonal.setdefault((pa[j], pb[j]), j)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            i = x * n + y
+            j = (first_diagonal if x == y else first).get((pb[i], pa[i]))
+            if j is None:
+                return None
+            table[x][y], table[y][x] = divmod(j, n)
+    return Groupoid(tuple(map(tuple, table)))

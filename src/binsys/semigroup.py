@@ -14,7 +14,7 @@ from __future__ import annotations
 from .core import Groupoid, is_locally_zero, left_zero
 from .errors import OrderMismatch, OrderTooLarge
 
-# Exhaustive scans touch n**(n*n) tables; above this order they are refused.
+# The exhaustive center scan touches n**(n*n) tables; above this it refuses.
 EXHAUSTIVE_ORDER_LIMIT = 3
 
 
@@ -75,24 +75,35 @@ def in_center(g: Groupoid, method: str = "fast") -> bool:
     return all(commutes(g, h) for h in all_groupoids(g.order))
 
 
+def _pair_map(g: Groupoid) -> list[int]:
+    """g as a map on cells: φ_g[x*n+y] = g(x, y)*n + g(y, x).
+
+    A cell of g ⋄ h reads only the symmetric pair of cells at (x, y) and
+    (y, x), so φ_{g⋄h} = φ_h ∘ φ_g and the identity's map is the identity.
+    The order-n tables correspond one to one to the maps of n*n cells that
+    commute with the swap (x, y) -> (y, x).
+    """
+    n, t = g.order, g.table
+    return [t[x][y] * n + t[y][x] for x in range(n) for y in range(n)]
+
+
 def find_inverse(g: Groupoid) -> Groupoid | None:
-    """A table h with g ⋄ h = h ⋄ g = identity, or None.
+    """The table h with g ⋄ h = h ⋄ g = identity, or None; any order.
 
     Locally-zero tables square to the identity, so they are their own
-    inverses; anything else requires a scan, supported up to order
-    EXHAUSTIVE_ORDER_LIMIT.  (Self-inverse tables outside the locally-zero
-    set do exist, so the scan is a genuine search.)
+    inverses.  Otherwise g is invertible exactly when its pair map φ_g is
+    a permutation of the cells, and then h is read off φ_g⁻¹ in closed
+    form: h(x, y) = φ_g⁻¹[x*n+y] // n.
     """
     if is_locally_zero(g):
         return g
-    if g.order > EXHAUSTIVE_ORDER_LIMIT:
-        raise OrderTooLarge(
-            f"inverse search supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
-        )
-    from .enumeration import all_groupoids
-
-    ident = identity(g.order)
-    for h in all_groupoids(g.order):
-        if product(g, h) == ident and product(h, g) == ident:
-            return h
-    return None
+    n = g.order
+    phi = _pair_map(g)
+    if len(set(phi)) != n * n:
+        return None
+    inverse = [0] * (n * n)
+    for cell, image in enumerate(phi):
+        inverse[image] = cell
+    return Groupoid(tuple(
+        tuple(inverse[x * n + y] // n for y in range(n)) for x in range(n)
+    ))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import tables
+from binsys import identity, is_locally_zero, parse_groupoid, product
 from binsys.cli import main
 
 
@@ -139,6 +140,14 @@ class TestEnumerate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize("extra", [[], ["--census"]])
+    def test_order_below_one(self, capsys, order, extra):
+        code, out, err = run(capsys, "enumerate", "--order", order, *extra)
+        assert code == 2
+        assert out == ""
+        assert "order must be >= 1" in err
+
 
 class TestVerify:
     def test_exhaustive_small(self, capsys):
@@ -162,6 +171,14 @@ class TestVerify:
         assert code == 2
         assert "sample" in err
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize("extra", [[], ["--sample", "5"]])
+    def test_order_below_one(self, capsys, order, extra):
+        code, out, err = run(capsys, "verify", "--order", order, *extra)
+        assert code == 2
+        assert out == ""
+        assert "order must be >= 1" in err
+
 
 class TestInverse:
     def test_locally_zero(self, capsys, data_dir):
@@ -175,6 +192,25 @@ class TestInverse:
         code, out, _ = run(capsys, "inverse", str(f))
         assert code == 0
         assert out.strip() == "none"
+
+    def test_order_three_not_locally_zero(self, capsys, tmp_path):
+        # a 3-cycle on the diagonal; the inverse runs it backwards
+        f = tmp_path / "cyc.gpd"
+        f.write_text("elements: 0 1 2\ntable:\n1 0 0\n1 2 1\n2 2 0\n")
+        code, out, _ = run(capsys, "inverse", str(f))
+        assert code == 0
+        assert out == "elements: 0 1 2\ntable:\n2 0 0\n1 0 1\n2 2 1\n"
+
+    def test_order_four_not_locally_zero(self, capsys, tmp_path):
+        f = tmp_path / "cyc4.gpd"
+        f.write_text(
+            "elements: 0 1 2 3\ntable:\n1 0 0 0\n1 2 1 1\n2 2 3 2\n3 3 3 0\n"
+        )
+        code, out, _ = run(capsys, "inverse", str(f))
+        assert code == 0
+        g, inv = parse_groupoid(f.read_text()), parse_groupoid(out)
+        assert not is_locally_zero(g)
+        assert product(g, inv) == identity(4) == product(inv, g)
 
 
 class TestParseFailures:

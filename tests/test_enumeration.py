@@ -32,6 +32,11 @@ class TestAllGroupoids:
         with pytest.raises(OrderTooLarge):
             list(all_groupoids(4))
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one(self, order):
+        with pytest.raises(PreconditionError):
+            all_groupoids(order)
+
     def test_cache_returns_fresh_iterators(self):
         first = list(all_groupoids(2))
         second = list(all_groupoids(2))
@@ -74,6 +79,11 @@ class TestCensus:
     def test_order_cap(self):
         with pytest.raises(OrderTooLarge):
             census(4)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one(self, order):
+        with pytest.raises(PreconditionError):
+            census(order)
 
     def test_worker_count_does_not_change_results(self):
         assert census(2, workers=3).counts == tables.CENSUS2
@@ -148,6 +158,12 @@ class TestVerifyClaims:
     def test_exhaustive_order_cap(self):
         with pytest.raises(OrderTooLarge):
             verify_claims(4)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("sample", [None, 5])
+    def test_order_below_one(self, order, sample):
+        with pytest.raises(PreconditionError):
+            verify_claims(order, sample=sample)
 
     def test_sampled_mode(self):
         reports = verify_claims(4, sample=200, seed=3)

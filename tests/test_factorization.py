@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import tables
+from scan_oracles import scan_equivalent
 from binsys import (
     METHODS,
     OrderMismatch,
@@ -325,11 +328,51 @@ class TestBinaryEquivalent:
         with pytest.raises(OrderMismatch):
             binary_equivalent(left_zero(2), left_zero(3))
 
-    def test_search_order_cap(self):
-        with pytest.raises(OrderTooLarge):
-            binary_equivalent(groupoid(tables.GROUP4), groupoid(tables.OP4))
+    def test_order_four(self):
+        # GROUP4 is commutative, so every w ⋄ GROUP4 is commutative and
+        # cannot equal the non-commutative OP4: no witness exists.
+        a, b = groupoid(tables.GROUP4), groupoid(tables.OP4)
+        assert a.table == tuple(zip(*a.table))
+        assert b.table != tuple(zip(*b.table))
+        assert binary_equivalent(a, b) is None
+        for x in (a, b):
+            w = binary_equivalent(x, x)
+            assert product(w, x) == x
 
-    def test_witness_works_above_search_cap(self):
+    def test_search_finds_a_witness_at_order_six(self):
         g = groupoid(tables.LOC6)
         j = groupoid(tables.LOC6_J)
-        assert binary_equivalent(g, j, witness=groupoid(tables.LOC6_O))
+        w = binary_equivalent(g, j)
+        assert product(w, g) == j and product(w, j) == g
+
+    def test_witness_is_checked_at_any_order(self):
+        g = groupoid(tables.LOC6)
+        j = groupoid(tables.LOC6_J)
+        o = groupoid(tables.LOC6_O)
+        assert binary_equivalent(g, j, witness=o) is o
+
+
+class TestBinaryEquivalentMatchesScan:
+    """The per-orbit construction against the lexicographic table scan."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_every_pair(self, order):
+        tables_ = list(all_groupoids(order))
+        for a in tables_:
+            for b in tables_:
+                assert binary_equivalent(a, b) == scan_equivalent(a, b)
+
+    def test_sampled_order_three_pairs(self):
+        # half (a, a); a quarter (a, w ⋄ a) for a self-inverse w, which
+        # has w as one witness; a quarter unrelated pairs
+        rng = random.Random(3)
+        pool = list(all_groupoids(3))
+        involutions = [w for w in pool if product(w, w) == identity(3)]
+        pairs = []
+        for _ in range(5):
+            a = rng.choice(pool)
+            pairs += [(a, a), (a, product(rng.choice(involutions), a))]
+            a = rng.choice(pool)
+            pairs += [(a, a), (a, rng.choice(pool))]
+        for a, b in pairs:
+            assert binary_equivalent(a, b) == scan_equivalent(a, b)

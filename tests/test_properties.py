@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from binsys import (
     factorize,
+    find_inverse,
     groupoid,
     identity,
     is_bi_diagonal,
@@ -35,6 +36,27 @@ def table_strategy(min_order=1, max_order=5):
 
 
 tables_any = table_strategy()
+
+
+@st.composite
+def invertible_tables(draw, min_order=4, max_order=6):
+    """A table whose pair map permutes the cells.
+
+    Diagonal cells go to diagonal cells by a permutation of the elements;
+    the unordered off-diagonal pairs are permuted, each landing in either
+    orientation.
+    """
+    n = draw(st.integers(min_order, max_order))
+    diagonal = draw(st.permutations(range(n)))
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    images = draw(st.permutations(pairs))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows = [[x] * n for x in range(n)]
+    for x in range(n):
+        rows[x][x] = diagonal[x]
+    for (x, y), (u, v), flip in zip(pairs, images, flips):
+        rows[x][y], rows[y][x] = (v, u) if flip else (u, v)
+    return rows
 tables_small = table_strategy(max_order=3)
 triples_small = st.integers(2, 3).flatmap(
     lambda n: st.tuples(
@@ -62,6 +84,21 @@ def test_identity_laws(rows):
 def test_associativity(rows3):
     f, g, h = (groupoid(r) for r in rows3)
     assert product(product(f, g), h) == product(f, product(g, h))
+
+
+@given(st.one_of(table_strategy(4, 6), invertible_tables()))
+def test_inverse_is_two_sided(rows):
+    g = groupoid(rows)
+    h = find_inverse(g)
+    if h is None:
+        # two cells whose symmetric pairs agree stay equal in every g ⋄ h
+        n = g.order
+        pairs = {(g(x, y), g(y, x)) for x in range(n) for y in range(n)}
+        assert len(pairs) < n * n
+    else:
+        e = identity(g.order)
+        assert product(g, h) == e
+        assert product(h, g) == e
 
 
 @given(tables_any)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import tables
+from scan_oracles import scan_inverse
 from binsys import (
     OrderMismatch,
     OrderTooLarge,
@@ -129,7 +132,6 @@ class TestFindInverse:
     def test_locally_zero_is_self_inverse(self):
         g = groupoid(tables.LOC3)
         assert find_inverse(g) == g
-        # the fast path must not depend on the order cap
         big = groupoid(tables.LOC6)
         assert find_inverse(big) == big
 
@@ -146,9 +148,24 @@ class TestFindInverse:
         assert inv == g
         assert product(g, inv) == identity(2) == product(inv, g)
 
-    def test_search_order_cap(self):
-        with pytest.raises(OrderTooLarge):
-            find_inverse(groupoid(tables.GROUP4))
+    def test_order_four(self):
+        # GROUP4 is commutative, so every g ⋄ h is commutative too and
+        # cannot be the (non-commutative) identity: no inverse exists.
+        g = groupoid(tables.GROUP4)
+        assert g.table == tuple(zip(*g.table))
+        assert find_inverse(g) is None
+        op = groupoid(tables.OP4)
+        inv = find_inverse(op)
+        assert product(op, inv) == identity(4) == product(inv, op)
+
+    def test_order_four_without_local_zero(self):
+        # a 4-cycle on the diagonal over a left-projection body
+        g = groupoid([[1, 0, 0, 0], [1, 2, 1, 1], [2, 2, 3, 2], [3, 3, 3, 0]])
+        inv = find_inverse(g)
+        assert inv.table == (
+            (3, 0, 0, 0), (1, 0, 1, 1), (2, 2, 1, 2), (3, 3, 3, 2)
+        )
+        assert product(g, inv) == identity(4) == product(inv, g)
 
     def test_returned_inverse_is_two_sided(self):
         for g in all_groupoids(2):
@@ -156,3 +173,30 @@ class TestFindInverse:
             if inv is not None:
                 assert product(g, inv) == identity(2)
                 assert product(inv, g) == identity(2)
+
+
+class TestFindInverseMatchesScan:
+    """The closed form against the table scan it replaced."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_every_table(self, order):
+        for g in all_groupoids(order):
+            assert find_inverse(g) == scan_inverse(g)
+
+    def test_order_three_invertibles(self):
+        # 3! diagonal permutations x 3! off-diagonal pair permutations
+        # x 2^3 orientations of the pairs
+        e = identity(3)
+        found = 0
+        for g in all_groupoids(3):
+            inv = find_inverse(g)
+            if inv is not None:
+                found += 1
+                assert product(g, inv) == e == product(inv, g)
+        assert found == 288
+
+    def test_order_three_sampled_non_invertibles(self):
+        rng = random.Random(20)
+        pool = [g for g in all_groupoids(3) if find_inverse(g) is None]
+        for g in rng.sample(pool, 8):
+            assert scan_inverse(g) is None
