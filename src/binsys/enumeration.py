@@ -26,11 +26,9 @@ from multiprocessing import get_context
 
 from .core import (
     Groupoid,
-    check_predicate,
     has_orientation,
     is_abelian,
     is_bi_diagonal,
-    is_idempotent,
     is_locally_zero,
     is_semi_neutral,
     is_strong,
@@ -39,19 +37,23 @@ from .core import (
     semi_neutral_groupoid,
 )
 from .axioms import axiom_holds
-from .errors import OrderTooLarge, PreconditionError
+from .errors import EXHAUSTIVE_ORDER_LIMIT, OrderTooLarge, PreconditionError
 from .factorization import (
+    au_holds,
+    classify,
     is_partially_prime,
+    jo_holds,
+    oj_holds,
     orient_factor,
     signature_factor,
     similar_factor,
     skew_factor,
+    ua_holds,
     uniqueness_search,
 )
-from .graphs import all_graphs, from_graph
+from .graphs import SimpleGraph, all_graphs, from_graph
 from .semigroup import commutes, identity, in_center, is_identity, product
 
-ENUMERATION_ORDER_LIMIT = 3
 MAX_COUNTEREXAMPLES = 5
 
 _ALL_CACHE: dict[int, tuple] = {}
@@ -75,9 +77,9 @@ def _tables(order: int):
 def all_groupoids(order: int):
     """Every table of the order, ascending by row-major flattened cells."""
     _require_order(order)
-    if order > ENUMERATION_ORDER_LIMIT:
+    if order > EXHAUSTIVE_ORDER_LIMIT:
         raise OrderTooLarge(
-            f"exhaustive enumeration supports order <= {ENUMERATION_ORDER_LIMIT}"
+            f"exhaustive enumeration supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
         )
     if order not in _ALL_CACHE:
         _ALL_CACHE[order] = tuple(Groupoid(t) for t in _tables(order))
@@ -137,46 +139,24 @@ class CensusReport:
     counts: dict
 
 
-def _census_flags(g: Groupoid):
-    sig, sim = signature_factor(g), similar_factor(g)
-    ori, skw = orient_factor(g), skew_factor(g)
-    ua = product(sig, sim) == g
-    au = product(sim, sig) == g
-    oj = product(ori, skw) == g
-    jo = product(skw, ori) == g
-    sig_p, sim_p = is_identity(sig), is_identity(sim)
-    ori_p, skw_p = is_identity(ori), is_identity(skw)
-    ua_c = ua and not sig_p and not sim_p
-    au_c = au and not sig_p and not sim_p
-    oj_c = oj and not ori_p and not skw_p
-    jo_c = jo and not ori_p and not skw_p
-    return (
-        is_idempotent(g), is_strong(g), is_locally_zero(g),
-        has_orientation(g), check_predicate(g, "twisted_orientation"),
-        is_bi_diagonal(g), is_abelian(g),
-        sig_p, sim_p, ori_p, skw_p,
-        ua, au, oj, jo,
-        ua_c, au_c, oj_c, jo_c,
-        ua_c and au_c, oj_c and jo_c, ua and au, oj and jo,
-    )
-
-
 def _census_range(order, start, stop):
     counts = [0] * len(CENSUS_KEYS)
-    src = itertools.islice(all_groupoids(order), start, stop)
-    for g in src:
-        for i, flag in enumerate(_census_flags(g)):
-            if flag:
+    for g in itertools.islice(all_groupoids(order), start, stop):
+        report = classify(g)
+        # the first keys name predicates, the rest report fields
+        flags = {**report.predicates, **vars(report)}
+        for i, key in enumerate(CENSUS_KEYS):
+            if flags[key]:
                 counts[i] += 1
     return counts
 
 
 def census(order: int, workers=None) -> CensusReport:
-    """Count every census flag over all tables of the order."""
+    """Count each ``classify`` flag in CENSUS_KEYS over all tables of the order."""
     _require_order(order)
-    if order > ENUMERATION_ORDER_LIMIT:
+    if order > EXHAUSTIVE_ORDER_LIMIT:
         raise OrderTooLarge(
-            f"census supports order <= {ENUMERATION_ORDER_LIMIT}"
+            f"census supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
         )
     total = table_count(order)
     workers = _resolve_workers(workers, total)
@@ -269,12 +249,7 @@ class ClaimContext:
         return min(self.count, cap)
 
     def random_tables(self, count, salt):
-        rng = self.rng(salt)
-        n = self.order
-        for _ in range(count):
-            yield Groupoid(
-                tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
-            )
+        return random_groupoids(self.order, count, f"{self.seed}:{salt}")
 
     def locally_zero_tables(self):
         """All of them when exhaustive (via graphs), else a seeded sample."""
@@ -283,16 +258,10 @@ class ClaimContext:
                 yield from_graph(graph)
         else:
             rng = self.rng("graphs")
-            n = self.order
-            pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+            pairs = list(itertools.combinations(range(self.order), 2))
             for _ in range(self.side_count()):
-                table = [[y for y in range(n)] for _ in range(n)]
-                for x in range(n):
-                    table[x][x] = x
-                for x, y in pairs:
-                    if rng.random() < 0.5:
-                        table[x][y], table[y][x] = x, y
-                yield Groupoid(tuple(tuple(r) for r in table))
+                edges = [p for p in pairs if rng.random() < 0.5]
+                yield from_graph(SimpleGraph(self.order, frozenset(edges)))
 
     def op_tables(self):
         """Tables where every product lands on an operand."""
@@ -358,72 +327,41 @@ def _singleton(cid, statement, check, min_order=1):
     return Claim(cid, statement, "pass", run)
 
 
+def _closed(cid, statement, tables, predicate):
+    """A claim that the composite of two tables drawn from ``tables(ctx)``
+    satisfies ``predicate``: every ordered pair when exhaustive, else the
+    first half of the drawn pool against the second."""
+
+    def run(ctx):
+        pool = list(tables(ctx))
+        if ctx.mode == "exhaustive":
+            pairs = ((a, b) for a in pool for b in pool)
+        else:
+            half = len(pool) // 2
+            pairs = zip(pool[:half], pool[half:])
+        checked = 0
+        cexs = []
+        for a, b in pairs:
+            checked += 1
+            if not predicate(product(a, b)):
+                if len(cexs) < MAX_COUNTEREXAMPLES * 2:
+                    cexs.extend([a, b])
+        note = "counterexamples listed as flattened pairs" if cexs else None
+        return checked, cexs, note
+
+    return Claim(cid, statement, "pass", run)
+
+
 # helpers shared by several claims
 
-def _ua_holds(g):
-    return product(signature_factor(g), similar_factor(g)) == g
+def _unique(method):
+    """The method's derived pair reproduces g and is its only in-shape pair."""
 
+    def check(g):
+        rep = uniqueness_search(g, method)
+        return rep.solution_count == 1 and rep.derived.reproduces
 
-def _au_holds(g):
-    return product(similar_factor(g), signature_factor(g)) == g
-
-
-def _oj_holds(g):
-    return product(orient_factor(g), skew_factor(g)) == g
-
-
-def _jo_holds(g):
-    return product(skew_factor(g), orient_factor(g)) == g
-
-
-def _u_normal(g):
-    return _ua_holds(g) and _au_holds(g)
-
-
-def _u_composite(g):
-    return (
-        _u_normal(g)
-        and not is_identity(signature_factor(g))
-        and not is_identity(similar_factor(g))
-    )
-
-
-def _oj_composite(g):
-    return (
-        _oj_holds(g)
-        and not is_identity(orient_factor(g))
-        and not is_identity(skew_factor(g))
-    )
-
-
-def _jo_composite(g):
-    return (
-        _jo_holds(g)
-        and not is_identity(orient_factor(g))
-        and not is_identity(skew_factor(g))
-    )
-
-
-def _semi_normal(g):
-    one_u = is_semi_neutral(signature_factor(g)) != is_semi_neutral(similar_factor(g))
-    one_j = is_semi_neutral(orient_factor(g)) != is_semi_neutral(skew_factor(g))
-    return (_u_normal(g) and one_u) or (_oj_holds(g) and _jo_holds(g) and one_j)
-
-
-def _semi_composite(g):
-    one_u = is_semi_neutral(signature_factor(g)) != is_semi_neutral(similar_factor(g))
-    one_j = is_semi_neutral(orient_factor(g)) != is_semi_neutral(skew_factor(g))
-    return (_u_composite(g) and one_u) or (_oj_composite(g) and _jo_composite(g) and one_j)
-
-
-def _ua_unique_ok(g):
-    rep = uniqueness_search(g, "ua")
-    return rep.solution_count == 1 and rep.derived.reproduces
-
-
-def _jo_unique_ok(g):
-    rep = uniqueness_search(g, "jo")
-    return rep.solution_count == 1 and rep.derived.reproduces
+    return check
 
 
 def _is_abelian_group(g):
@@ -458,18 +396,6 @@ def _no_op_cells(g):
 
 
 # custom runners
-
-def _run_identity(ctx):
-    ident = identity(ctx.order)
-    checked = 0
-    cexs = []
-    for g in ctx.groupoids():
-        checked += 1
-        if not (product(ident, g) == g and product(g, ident) == g):
-            if len(cexs) < MAX_COUNTEREXAMPLES:
-                cexs.append(g)
-    return checked, cexs, None
-
 
 def _run_associative(ctx):
     checked = 0
@@ -506,24 +432,6 @@ def _run_associative(ctx):
     return checked, cexs, note
 
 
-def _run_center_closed(ctx):
-    pool = list(ctx.locally_zero_tables())
-    checked = 0
-    cexs = []
-    if ctx.mode == "exhaustive":
-        pairs = ((a, b) for a in pool for b in pool)
-    else:
-        half = len(pool) // 2
-        pairs = zip(pool[:half], pool[half:])
-    for a, b in pairs:
-        checked += 1
-        if not is_locally_zero(product(a, b)):
-            if len(cexs) < MAX_COUNTEREXAMPLES * 2:
-                cexs.extend([a, b])
-    note = "counterexamples listed as flattened pairs" if cexs else None
-    return checked, cexs, note
-
-
 def _run_center_self_inverse(ctx):
     ident = identity(ctx.order)
     checked = 0
@@ -537,8 +445,10 @@ def _run_center_self_inverse(ctx):
 
 
 def _run_center_agreement(ctx):
-    if ctx.order > ENUMERATION_ORDER_LIMIT:
-        return 0, [], "exhaustive center scan is defined only up to order 3"
+    if ctx.order > EXHAUSTIVE_ORDER_LIMIT:
+        return 0, [], (
+            f"exhaustive center scan is defined only up to order {EXHAUSTIVE_ORDER_LIMIT}"
+        )
     checked = 0
     cexs = []
     for g in ctx.groupoids():
@@ -547,24 +457,6 @@ def _run_center_agreement(ctx):
             if len(cexs) < MAX_COUNTEREXAMPLES:
                 cexs.append(g)
     return checked, cexs, None
-
-
-def _run_op_closed(ctx):
-    pool = list(ctx.op_tables())
-    checked = 0
-    cexs = []
-    if ctx.mode == "exhaustive":
-        pairs = ((a, b) for a in pool for b in pool)
-    else:
-        half = len(pool) // 2
-        pairs = zip(pool[:half], pool[half:])
-    for a, b in pairs:
-        checked += 1
-        if not has_orientation(product(a, b)):
-            if len(cexs) < MAX_COUNTEREXAMPLES * 2:
-                cexs.extend([a, b])
-    note = "counterexamples listed as flattened pairs" if cexs else None
-    return checked, cexs, note
 
 
 def _run_semi_neutral_product(ctx):
@@ -583,10 +475,10 @@ def _b1_holds(g):
 
 
 CLAIMS = [
-    Claim(
+    _universal(
         "thm-2.4-identity",
         "the left projection table is a two-sided identity for the composition",
-        "pass", _run_identity,
+        lambda g: product(e := identity(g.order), g) == g == product(g, e),
     ),
     Claim(
         "thm-2.4-associative",
@@ -603,10 +495,10 @@ CLAIMS = [
         "both projection tables commute with every table",
         lambda g: commutes(g, left_zero(g.order)) and commutes(g, right_zero(g.order)),
     ),
-    Claim(
+    _closed(
         "cor-2.7-center-closed",
         "the composite of two locally-zero tables is locally zero",
-        "pass", _run_center_closed,
+        ClaimContext.locally_zero_tables, is_locally_zero,
     ),
     Claim(
         "prop-2.8-center-self-inverse",
@@ -625,28 +517,29 @@ CLAIMS = [
     _universal(
         "thm-3.1.3-strong-ua",
         "signature times similar reproduces every strong table",
-        _ua_holds, hypothesis=is_strong,
+        ua_holds, hypothesis=is_strong,
     ),
     _universal(
         "cor-3.1.4-ua-unique",
         "a strong table has exactly one signature-shape/similar-shape factorization",
-        _ua_unique_ok,
+        _unique("ua"),
         hypothesis=is_strong,
     ),
     _universal(
         "thm-3.2.3-au-universal",
         "similar times signature reproduces every table",
-        _au_holds,
+        au_holds,
     ),
     _universal(
         "cor-3.2.4-au-unique",
         "every table has exactly one similar-shape/signature-shape factorization",
-        lambda g: uniqueness_search(g, "au").solution_count == 1,
+        _unique("au"),
     ),
     _universal(
         "cor-3.2.5-strong-u-normal",
         "strong tables factor both ways through signature and similar",
-        _u_normal, hypothesis=is_strong,
+        lambda g: ua_holds(g) and au_holds(g),
+        hypothesis=is_strong,
     ),
     _universal(
         "prop-3.2-similar-factor-strong",
@@ -656,7 +549,7 @@ CLAIMS = [
     _universal(
         "prop-3.2.7-prime-implies-u-normal",
         "a table whose signature or similar factor is trivial factors both ways",
-        _u_normal,
+        lambda g: ua_holds(g) and au_holds(g),
         hypothesis=lambda g: is_identity(signature_factor(g))
         or is_identity(similar_factor(g)),
     ),
@@ -664,20 +557,20 @@ CLAIMS = [
         "prop-3.2.8-right-zero-similar-prime",
         "the right projection table has a trivial similar factor",
         lambda n: None
-        if is_identity(similar_factor(right_zero(n))) and _ua_holds(right_zero(n))
+        if is_identity(similar_factor(right_zero(n))) and ua_holds(right_zero(n))
         else right_zero(n),
     ),
     _universal(
         "prop-3.2.10-statement",
         "a strong table that is not locally zero is u-composite",
-        _u_composite,
+        lambda g: classify(g).u_composite,
         hypothesis=lambda g: is_strong(g) and not is_locally_zero(g),
         expected="fail",
     ),
     _universal(
         "prop-3.2.10-proof",
         "a strong table with no idempotent cell and no operand-valued product is u-composite",
-        _u_composite,
+        lambda g: classify(g).u_composite,
         hypothesis=lambda g: is_strong(g) and _no_op_cells(g),
     ),
     _universal(
@@ -693,7 +586,7 @@ CLAIMS = [
             signature_factor(signature_factor(g)),
             similar_factor(similar_factor(g)),
         ) == g,
-        hypothesis=_ua_holds,
+        hypothesis=ua_holds,
     ),
     _universal(
         "cor-3.3.3-au-refactor",
@@ -719,34 +612,34 @@ CLAIMS = [
     _universal(
         "thm-4.1.2-oj-universal",
         "orient times skew reproduces every table",
-        _oj_holds,
+        oj_holds,
     ),
     _universal(
         "cor-4.1.3-oj-unique",
         "every table has exactly one orient/skew–shape factorization",
-        lambda g: uniqueness_search(g, "oj").solution_count == 1,
+        _unique("oj"),
     ),
     _universal(
         "thm-4.2.3-op-jo",
         "skew times orient reproduces every operand-valued table",
-        _jo_holds, hypothesis=has_orientation,
+        jo_holds, hypothesis=has_orientation,
     ),
     _universal(
         "cor-4.2.4-jo-unique",
         "an operand-valued table has exactly one skew-shape/orient factorization",
-        _jo_unique_ok,
+        _unique("jo"),
         hypothesis=has_orientation,
     ),
     _universal(
         "prop-4.2.5-op-j-normal",
         "operand-valued tables factor both ways through orient and skew",
-        lambda g: _oj_holds(g) and _jo_holds(g),
+        lambda g: oj_holds(g) and jo_holds(g),
         hypothesis=has_orientation,
     ),
-    Claim(
+    _closed(
         "op-product-closed",
         "the composite of two operand-valued tables is operand-valued",
-        "pass", _run_op_closed,
+        ClaimContext.op_tables, has_orientation,
     ),
     _singleton(
         "prop-4.4-orient-locally-zero",
@@ -773,9 +666,7 @@ CLAIMS = [
     _singleton(
         "thm-4.3.3-right-zero-j-composite",
         "the right projection table is composite through orient and skew both ways",
-        lambda n: None
-        if _oj_composite(right_zero(n)) and _jo_composite(right_zero(n))
-        else right_zero(n),
+        lambda n: None if classify(right_zero(n)).j_composite else right_zero(n),
         min_order=3,  # at order 2 its skew factor is the identity
     ),
     _universal(
@@ -789,14 +680,14 @@ CLAIMS = [
         "prop-5.1-semi-neutral-prime-composite",
         "a non-trivial semi-neutral table has a trivial signature factor and "
         "is composite through orient and skew",
-        lambda g: is_identity(signature_factor(g)) and _oj_composite(g),
+        lambda g: (r := classify(g)).signature_prime and r.oj_composite,
         hypothesis=lambda g: is_semi_neutral(g) and not is_identity(g),
         needs_zero=True,
     ),
     _universal(
         "cor-5.2-semi-neutral-semi-normal",
         "a non-trivial semi-neutral table is semi-normal",
-        _semi_normal,
+        lambda g: classify(g).semi_normal,
         hypothesis=lambda g: is_semi_neutral(g) and not is_identity(g),
         needs_zero=True,
     ),
@@ -815,7 +706,7 @@ CLAIMS = [
     _universal(
         "cor-5.5-strong-b1-semi-normal",
         "a strong table with constantly-zero diagonal is semi-normal",
-        _semi_normal,
+        lambda g: classify(g).semi_normal,
         hypothesis=lambda g: is_strong(g) and _b1_holds(g),
         needs_zero=True,
         min_order=2,  # at order 1 both derived factors are semi-neutral
@@ -824,7 +715,7 @@ CLAIMS = [
         "cor-5.6-strong-b1-semi-composite",
         "a strong, constantly-zero-diagonal table that is not itself "
         "semi-neutral is semi-composite",
-        _semi_composite,
+        lambda g: classify(g).semi_composite,
         hypothesis=lambda g: is_strong(g) and _b1_holds(g) and not is_semi_neutral(g),
         needs_zero=True,
     ),
@@ -832,7 +723,7 @@ CLAIMS = [
         "prop-5.9-magma",
         "no symmetric table of order at least 2 factors both ways through "
         "signature and similar",
-        lambda g: not _u_normal(g),
+        lambda g: not (ua_holds(g) and au_holds(g)),
         hypothesis=is_abelian,
         min_order=2,
         expected="fail",
@@ -841,7 +732,7 @@ CLAIMS = [
         "prop-5.9-group",
         "no abelian group table of order at least 2 factors both ways through "
         "signature and similar",
-        lambda g: not _u_normal(g),
+        lambda g: not (ua_holds(g) and au_holds(g)),
         hypothesis=_is_abelian_group,
         min_order=2,
     ),
@@ -859,7 +750,8 @@ def _run_claim(claim_id):
 
 
 def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None):
-    """Run registered claims exhaustively (order <= 3) or on a seeded sample.
+    """Run registered claims exhaustively (order <= EXHAUSTIVE_ORDER_LIMIT)
+    or on a seeded sample.
 
     Returns one ClaimReport per claim, in registry order — or, when
     ``claims`` lists specific ids, only those, in the given order.
@@ -874,10 +766,10 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
             raise ValueError(f"unknown claim ids: {unknown}")
         selected = [REGISTRY[c] for c in claims]
     if sample is None:
-        if order > ENUMERATION_ORDER_LIMIT:
+        if order > EXHAUSTIVE_ORDER_LIMIT:
             raise OrderTooLarge(
                 f"exhaustive verification supports order <= "
-                f"{ENUMERATION_ORDER_LIMIT}; pass a sample count instead"
+                f"{EXHAUSTIVE_ORDER_LIMIT}; pass a sample count instead"
             )
         mode = "exhaustive"
         samples = None

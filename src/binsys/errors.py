@@ -44,8 +44,13 @@ class PreconditionError(BinsysError):
     """The inputs are well-formed but the operation does not apply."""
 
 
+# Exhaustive sweeps enumerate n**(n*n) tables (or as many shape fills);
+# above this order they raise OrderTooLarge.
+EXHAUSTIVE_ORDER_LIMIT = 3
+
+
 class OrderTooLarge(PreconditionError):
-    """Exhaustive work was requested above the supported order."""
+    """Exhaustive work was requested above EXHAUSTIVE_ORDER_LIMIT."""
 
 
 class MissingZero(PreconditionError):

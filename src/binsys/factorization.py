@@ -20,16 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 
-from .core import (
-    Groupoid,
-    is_semi_neutral,
-    left_zero,
-)
-from .errors import InternalError, OrderMismatch, OrderTooLarge
+from .core import Groupoid, is_semi_neutral, predicate_vector
+from .errors import EXHAUSTIVE_ORDER_LIMIT, InternalError, OrderMismatch, OrderTooLarge
 from .semigroup import _pair_map, is_identity, product
 
-# Exhaustive shape searches enumerate n**(free cells) candidates.
-EXHAUSTIVE_ORDER_LIMIT = 3
 # uniqueness_search reports exact counts but materializes at most this
 # many solution pairs before sorting (see UniquenessReport.truncated).
 MATERIALIZE_LIMIT = 4096
@@ -241,8 +235,6 @@ class ClassificationReport:
 
 def classify(g: Groupoid) -> ClassificationReport:
     """Evaluate every predicate and factorization flag for one table."""
-    from .core import predicate_vector
-
     sig, sim = signature_factor(g), similar_factor(g)
     ori, skw = orient_factor(g), skew_factor(g)
     ua = product(sig, sim) == g
@@ -488,7 +480,9 @@ def binary_equivalent(a: Groupoid, b: Groupoid, witness: Groupoid | None = None)
     φ_a[φ_w[i]] = φ_b[i] and φ_b[φ_w[i]] = φ_a[i] cell by cell, and φ_w is
     chosen independently on each swap orbit {(x, y), (y, x)}, a diagonal
     cell going to a diagonal cell.  Taking the smallest choice in each
-    orbit gives the lexicographically first witness among all tables.
+    orbit gives the lexicographically first witness among all tables.  As
+    with ``product``, the built witness keeps labels (and likewise zero)
+    only when a and b agree on them.
     """
     if a.order != b.order:
         raise OrderMismatch(f"orders {a.order} and {b.order} differ")
@@ -513,4 +507,8 @@ def binary_equivalent(a: Groupoid, b: Groupoid, witness: Groupoid | None = None)
             if j is None:
                 return None
             table[x][y], table[y][x] = divmod(j, n)
-    return Groupoid(tuple(map(tuple, table)))
+    return Groupoid(
+        tuple(map(tuple, table)),
+        labels=a.labels if a.labels == b.labels else None,
+        zero=a.zero if a.zero == b.zero else None,
+    )

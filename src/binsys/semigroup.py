@@ -5,17 +5,17 @@ cross readings of g:
 
     (g ⋄ h)(x, y) = h(g(x, y), g(y, x))
 
-The left projection table (x∘y = x) is a two-sided identity for ⋄, and the
-locally-zero tables are exactly the elements commuting with everything.
+The left projection table (x∘y = x) is a two-sided identity for ⋄, and
+both projection tables commute with everything.  The classical claim that
+the locally-zero tables are exactly the central ones does not hold: at
+orders <= 3 only the two projections survive the exhaustive scan for
+elements commuting with everything (see ``in_center``).
 """
 
 from __future__ import annotations
 
 from .core import Groupoid, is_locally_zero, left_zero
-from .errors import OrderMismatch, OrderTooLarge
-
-# The exhaustive center scan touches n**(n*n) tables; above this it refuses.
-EXHAUSTIVE_ORDER_LIMIT = 3
+from .errors import OrderMismatch
 
 
 def identity(order: int) -> Groupoid:
@@ -55,7 +55,7 @@ def in_center(g: Groupoid, method: str = "fast") -> bool:
 
     "fast" decides via the locally-zero predicate, the classical
     characterization of the commuting tables; "exhaustive" actually scans
-    all tables of the same order (refused above order
+    all tables of the same order (``all_groupoids`` refuses orders above
     EXHAUSTIVE_ORDER_LIMIT).  The two disagree from order 3 up: a locally
     zero table with one left-zero pair and one right-zero pair fails to
     commute with everything, so the exhaustive scan admits only the two
@@ -66,10 +66,6 @@ def in_center(g: Groupoid, method: str = "fast") -> bool:
         return is_locally_zero(g)
     if method != "exhaustive":
         raise ValueError(f"method must be 'fast' or 'exhaustive', not {method!r}")
-    if g.order > EXHAUSTIVE_ORDER_LIMIT:
-        raise OrderTooLarge(
-            f"exhaustive center scan supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
-        )
     from .enumeration import all_groupoids
 
     return all(commutes(g, h) for h in all_groupoids(g.order))
@@ -93,7 +89,8 @@ def find_inverse(g: Groupoid) -> Groupoid | None:
     Locally-zero tables square to the identity, so they are their own
     inverses.  Otherwise g is invertible exactly when its pair map φ_g is
     a permutation of the cells, and then h is read off φ_g⁻¹ in closed
-    form: h(x, y) = φ_g⁻¹[x*n+y] // n.
+    form: h(x, y) = φ_g⁻¹[x*n+y] // n.  The inverse keeps g's labels and
+    zero.
     """
     if is_locally_zero(g):
         return g
@@ -104,6 +101,7 @@ def find_inverse(g: Groupoid) -> Groupoid | None:
     inverse = [0] * (n * n)
     for cell, image in enumerate(phi):
         inverse[image] = cell
-    return Groupoid(tuple(
-        tuple(inverse[x * n + y] // n for y in range(n)) for x in range(n)
-    ))
+    return Groupoid(
+        tuple(tuple(inverse[x * n + y] // n for y in range(n)) for x in range(n)),
+        labels=g.labels, zero=g.zero,
+    )

@@ -196,3 +196,13 @@ CENSUS3 = {
     "u_composite": 8890, "j_composite": 6614, "u_normal": 9645,
     "j_normal": 6615,
 }
+
+# SHA-256 of json.dumps([r.to_dict() for r in reports]) for
+# verify_claims(2) and verify_claims(order, sample=200, seed=1) at orders 4
+# and 5.  The sampled reports pin the seeded side streams (random triples,
+# locally-zero and operand-valued pools) as well as the main sample.
+VERIFY_DIGESTS = {
+    2: "2290a3fba785587cd1f1f9e6ef4f01a67e92e58568f90f06f193a8a891cff9c7",
+    4: "44000e04dec3dd9899a432cf9213e0e20428ba6ac0abb107c51ce111887c6835",
+    5: "a37946c0edfd88a19972d2b70bb09c5959d2bc7d5fd2898f06c94c33ca1eba84",
+}

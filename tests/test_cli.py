@@ -201,6 +201,13 @@ class TestInverse:
         assert code == 0
         assert out == "elements: 0 1 2\ntable:\n2 0 0\n1 0 1\n2 2 1\n"
 
+    def test_labels_and_zero_echoed(self, capsys, tmp_path):
+        f = tmp_path / "cyc.gpd"
+        f.write_text("elements: a b c\nzero: a\ntable:\nb a a\nb c b\nc c a\n")
+        code, out, _ = run(capsys, "inverse", str(f))
+        assert code == 0
+        assert out == "elements: a b c\nzero: a\ntable:\nc a a\nb a b\nc c b\n"
+
     def test_order_four_not_locally_zero(self, capsys, tmp_path):
         f = tmp_path / "cyc4.gpd"
         f.write_text(

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import tables
@@ -171,6 +174,14 @@ class TestVerifyClaims:
         by_id = {r.claim: r for r in reports}
         assert by_id["thm-3.2.3-au-universal"].passed
         assert by_id["thm-3.2.3-au-universal"].checked == 200
+
+    @pytest.mark.parametrize("order", [2, 4, 5])
+    def test_reports_frozen(self, order):
+        # exhaustive at order 2; seeded samples above
+        sample, seed = (None, None) if order == 2 else (200, 1)
+        reports = verify_claims(order, sample=sample, seed=seed)
+        text = json.dumps([r.to_dict() for r in reports])
+        assert hashlib.sha256(text.encode()).hexdigest() == tables.VERIFY_DIGESTS[order]
 
     def test_sampled_mode_deterministic(self):
         a = [r.to_dict() for r in verify_claims(4, sample=50, seed=1)]

@@ -314,6 +314,15 @@ class TestBinaryEquivalent:
         # the orient factor swaps the table with its skew factor
         assert binary_equivalent(g, j, witness=o)
 
+    def test_built_witness_metadata_follows_product(self):
+        a = right_zero(3, labels="pqr", zero=0)
+        w = binary_equivalent(a, right_zero(3, labels="pqr", zero=0))
+        assert (w.labels, w.zero) == (("p", "q", "r"), 0)
+        w = binary_equivalent(a, right_zero(3, labels="pqr", zero=1))
+        assert (w.labels, w.zero) == (("p", "q", "r"), None)
+        w = binary_equivalent(a, right_zero(3, labels="xyz", zero=0))
+        assert (w.labels, w.zero) == (None, 0)
+
     def test_bad_witness_falls_back_to_search(self):
         a = right_zero(2)
         assert binary_equivalent(a, a, witness=groupoid([[0, 0], [0, 0]]))

@@ -1,0 +1,40 @@
+"""Static checks over the package source.
+
+Every module under ``src/binsys`` (bar ``__init__.py``, which only
+re-exports) must use each name it imports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "binsys"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements and never read in the module."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"core.py", "enumeration.py", "factorization.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_unused_import():
+    source = "from .core import Groupoid, left_zero\nimport os\n\ndef f(g: Groupoid):\n    return g\n"
+    assert unused_imports(source) == ["left_zero", "os"]

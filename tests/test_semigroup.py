@@ -14,6 +14,7 @@ from binsys import (
     identity,
     in_center,
     is_identity,
+    is_locally_zero,
     left_zero,
     product,
     right_zero,
@@ -166,6 +167,13 @@ class TestFindInverse:
             (3, 0, 0, 0), (1, 0, 1, 1), (2, 2, 1, 2), (3, 3, 3, 2)
         )
         assert product(g, inv) == identity(4) == product(inv, g)
+
+    def test_computed_inverse_keeps_labels_and_zero(self):
+        g = groupoid([[1, 0, 0], [1, 2, 1], [2, 2, 0]], labels="abc", zero="a")
+        assert not is_locally_zero(g)
+        inv = find_inverse(g)
+        assert inv.table == ((2, 0, 0), (1, 0, 1), (2, 2, 1))
+        assert (inv.labels, inv.zero) == (("a", "b", "c"), 0)
 
     def test_returned_inverse_is_two_sided(self):
         for g in all_groupoids(2):
