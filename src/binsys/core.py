@@ -10,6 +10,8 @@ labels or zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain
 
 from .errors import BadLabels, BadShape, BadZero, ClosureViolation, MissingZero
 
@@ -18,6 +20,20 @@ Table = tuple[tuple[int, ...], ...]
 
 def _freeze_table(rows) -> Table:
     return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def _is_frozen(table) -> bool:
+    """Already a tuple of tuple rows of exact ints, as _freeze_table makes."""
+    return (
+        type(table) is tuple
+        and set(map(type, table)) <= {tuple}
+        and set(map(type, chain.from_iterable(table))) <= {int}
+    )
+
+
+@cache
+def _elements(order: int) -> frozenset:
+    return frozenset(range(order))
 
 
 @dataclass(frozen=True)
@@ -34,19 +50,23 @@ class Groupoid:
     zero: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        table = _freeze_table(self.table)
-        object.__setattr__(self, "table", table)
+        table = self.table
+        if not _is_frozen(table):
+            table = _freeze_table(table)
+            object.__setattr__(self, "table", table)
         n = len(table)
         if n == 0:
             raise BadShape("empty table")
-        if any(len(row) != n for row in table):
+        if set(map(len, table)) != {n}:
             raise BadShape(f"table is not {n}x{n}")
-        for x, row in enumerate(table):
-            for y, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise ClosureViolation(
-                        f"cell ({x},{y}) holds {v}, outside 0..{n - 1}"
-                    )
+        if not set(chain.from_iterable(table)) <= _elements(n):
+            # name the first bad cell in row-major order
+            for x, row in enumerate(table):
+                for y, v in enumerate(row):
+                    if not 0 <= v < n:
+                        raise ClosureViolation(
+                            f"cell ({x},{y}) holds {v}, outside 0..{n - 1}"
+                        )
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             object.__setattr__(self, "labels", labels)
@@ -110,14 +130,16 @@ def groupoid(rows, labels=None, zero=None) -> Groupoid:
     return Groupoid(table, labels=labels, zero=zero)
 
 
+@cache
+def _left_zero_table(order: int) -> Table:
+    return tuple((x,) * order for x in range(order))
+
+
 def left_zero(order: int, labels=None, zero=None) -> Groupoid:
     """The table with x∘y = x everywhere."""
     if order < 1:
         raise BadShape("order must be >= 1")
-    return Groupoid(
-        tuple(tuple(x for _ in range(order)) for x in range(order)),
-        labels=labels, zero=zero,
-    )
+    return Groupoid(_left_zero_table(order), labels=labels, zero=zero)
 
 
 def right_zero(order: int, labels=None, zero=None) -> Groupoid:
@@ -139,15 +161,19 @@ def zero_semigroup(order: int, side: str = "left") -> Groupoid:
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
+@cache
+def _semi_neutral_table(order: int, zero: int) -> Table:
+    return tuple(
+        tuple(zero if x == y else x for y in range(order))
+        for x in range(order)
+    )
+
+
 def semi_neutral_groupoid(order: int, zero: int = 0, labels=None) -> Groupoid:
     """The unique semi-neutral table for a given zero: x∘x = zero, x∘y = x."""
     if order < 1:
         raise BadShape("order must be >= 1")
-    table = tuple(
-        tuple(zero if x == y else x for y in range(order))
-        for x in range(order)
-    )
-    return Groupoid(table, labels=labels, zero=zero)
+    return Groupoid(_semi_neutral_table(order, zero), labels=labels, zero=zero)
 
 
 # --- diagonals ---
@@ -241,14 +267,7 @@ def is_semi_neutral(g: Groupoid) -> bool:
     elsewhere: x∘x = 0 and x∘y = x for x ≠ y.  Needs a zero."""
     if g.zero is None:
         raise MissingZero("semi-neutral is defined relative to a zero element")
-    t = g.table
-    n = g.order
-    for x in range(n):
-        for y in range(n):
-            want = g.zero if x == y else x
-            if t[x][y] != want:
-                return False
-    return True
+    return g.table == _semi_neutral_table(g.order, g.zero)
 
 
 PREDICATES = {

@@ -19,36 +19,58 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import cache
 
-from .core import Groupoid, is_semi_neutral, predicate_vector
+from .core import Groupoid, Table, _left_zero_table, _semi_neutral_table, predicate_vector
 from .errors import EXHAUSTIVE_ORDER_LIMIT, InternalError, OrderMismatch, OrderTooLarge
-from .semigroup import _pair_map, is_identity, product
+from .semigroup import _compose, _pair_map, _same_order, is_identity, product
 
 # uniqueness_search reports exact counts but materializes at most this
 # many solution pairs before sorting (see UniquenessReport.truncated).
 MATERIALIZE_LIMIT = 4096
 
 
+# --- the four derived factors, on raw tables ---
+
+def _signature(t: Table) -> Table:
+    return tuple(row[:x] + (x,) + row[x + 1:] for x, row in enumerate(t))
+
+
+def _similar(t: Table) -> Table:
+    n = len(t)
+    return tuple((x,) * x + (row[x],) + (x,) * (n - 1 - x) for x, row in enumerate(t))
+
+
+@cache
+def _orient_table(order: int) -> Table:
+    return tuple(
+        tuple(y if x + y == order - 1 else x for y in range(order))
+        for x in range(order)
+    )
+
+
+def _orient(t: Table) -> Table:
+    return _orient_table(len(t))
+
+
+def _skew(t: Table) -> Table:
+    n = len(t)
+    return tuple(
+        row[:n - 1 - x] + (t[n - 1 - x][x],) + row[n - x:]
+        for x, row in enumerate(t)
+    )
+
+
 # --- the four derived factors ---
 
 def signature_factor(g: Groupoid) -> Groupoid:
     """Idempotent diagonal, target's cells elsewhere."""
-    n = g.order
-    table = tuple(
-        tuple(x if x == y else g.table[x][y] for y in range(n))
-        for x in range(n)
-    )
-    return Groupoid(table, labels=g.labels, zero=g.zero)
+    return Groupoid(_signature(g.table), labels=g.labels, zero=g.zero)
 
 
 def similar_factor(g: Groupoid) -> Groupoid:
     """Target's diagonal, left projection elsewhere."""
-    n = g.order
-    table = tuple(
-        tuple(g.table[x][x] if x == y else x for y in range(n))
-        for x in range(n)
-    )
-    return Groupoid(table, labels=g.labels, zero=g.zero)
+    return Groupoid(_similar(g.table), labels=g.labels, zero=g.zero)
 
 
 def orient_factor(g: Groupoid) -> Groupoid:
@@ -56,22 +78,12 @@ def orient_factor(g: Groupoid) -> Groupoid:
 
     Depends only on the order of g.
     """
-    n = g.order
-    table = tuple(
-        tuple(y if x + y == n - 1 else x for y in range(n))
-        for x in range(n)
-    )
-    return Groupoid(table, labels=g.labels, zero=g.zero)
+    return Groupoid(_orient(g.table), labels=g.labels, zero=g.zero)
 
 
 def skew_factor(g: Groupoid) -> Groupoid:
     """Target with its anti-diagonal cells transposed (an involution)."""
-    n = g.order
-    table = tuple(
-        tuple(g.table[y][x] if x + y == n - 1 else g.table[x][y] for y in range(n))
-        for x in range(n)
-    )
-    return Groupoid(table, labels=g.labels, zero=g.zero)
+    return Groupoid(_skew(g.table), labels=g.labels, zero=g.zero)
 
 
 def _orient_cell(n: int, a: int, b: int) -> int:
@@ -101,7 +113,7 @@ def _similar_frame(g):
 
 def _orient_frame(g):
     # fully pinned: this factor family is a single table per order
-    return [list(row) for row in orient_factor(g).table]
+    return [list(row) for row in _orient(g.table)]
 
 
 def _skew_frame(g):
@@ -180,19 +192,23 @@ def factorize(g: Groupoid, method="ua") -> FactorPair:
 
 
 def ua_holds(g: Groupoid) -> bool:
-    return factorize(g, "ua").reproduces
+    t = g.table
+    return _compose(_signature(t), _similar(t)) == t
 
 
 def au_holds(g: Groupoid) -> bool:
-    return factorize(g, "au").reproduces
+    t = g.table
+    return _compose(_similar(t), _signature(t)) == t
 
 
 def oj_holds(g: Groupoid) -> bool:
-    return factorize(g, "oj").reproduces
+    t = g.table
+    return _compose(_orient(t), _skew(t)) == t
 
 
 def jo_holds(g: Groupoid) -> bool:
-    return factorize(g, "jo").reproduces
+    t = g.table
+    return _compose(_skew(t), _orient(t)) == t
 
 
 # --- classification ---
@@ -235,14 +251,15 @@ class ClassificationReport:
 
 def classify(g: Groupoid) -> ClassificationReport:
     """Evaluate every predicate and factorization flag for one table."""
-    sig, sim = signature_factor(g), similar_factor(g)
-    ori, skw = orient_factor(g), skew_factor(g)
-    ua = product(sig, sim) == g
-    au = product(sim, sig) == g
-    oj = product(ori, skw) == g
-    jo = product(skw, ori) == g
-    sig_p, sim_p = is_identity(sig), is_identity(sim)
-    ori_p, skw_p = is_identity(ori), is_identity(skw)
+    t = g.table
+    sig, sim, ori, skw = _signature(t), _similar(t), _orient(t), _skew(t)
+    ua = _compose(sig, sim) == t
+    au = _compose(sim, sig) == t
+    oj = _compose(ori, skw) == t
+    jo = _compose(skw, ori) == t
+    ident = _left_zero_table(g.order)
+    sig_p, sim_p = sig == ident, sim == ident
+    ori_p, skw_p = ori == ident, skw == ident
     ua_c = ua and not sig_p and not sim_p
     au_c = au and not sig_p and not sim_p
     oj_c = oj and not ori_p and not skw_p
@@ -252,9 +269,11 @@ def classify(g: Groupoid) -> ClassificationReport:
     if g.zero is None:
         semi_n = semi_c = None
     else:
-        # "exactly one factor is semi-neutral", on whichever side pairs up
-        one_u = is_semi_neutral(sig) != is_semi_neutral(sim)
-        one_j = is_semi_neutral(ori) != is_semi_neutral(skw)
+        # "exactly one factor is semi-neutral", on whichever side pairs up;
+        # the derived factors inherit g's zero
+        semi = _semi_neutral_table(g.order, g.zero)
+        one_u = (sig == semi) != (sim == semi)
+        one_j = (ori == semi) != (skw == semi)
         semi_n = (u_n and one_u) or (j_n and one_j)
         semi_c = (u_c and one_u) or (j_c and one_j)
     return ClassificationReport(
@@ -289,13 +308,12 @@ def is_partially_prime(g: Groupoid, h: Groupoid, side: str = "left") -> bool:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if g.order != h.order:
-        raise OrderMismatch(f"orders {g.order} and {h.order} differ")
+    _same_order(g, h)
     if is_identity(h):
         return False
     if side == "left":
-        return product(h, g) == g
-    return product(g, h) == g
+        return _compose(h.table, g.table) == g.table
+    return _compose(g.table, h.table) == g.table
 
 
 # --- uniqueness of in-shape factorizations ---
@@ -317,20 +335,19 @@ def _assemble(frame, assignments):
     return tuple(tuple(row) for row in table)
 
 
-def _solve_forced(g, m):
+def _solve_forced(g, derived):
     # au and oj: every free cell is forced, so the derived pair is the
     # single in-shape solution; its correctness is a library invariant.
-    lt, rt = m.derive(g)
-    if product(lt, rt) != g:
+    if not derived.reproduces:
         raise InternalError(
-            f"forced {m.name} factorization failed to reproduce the target"
+            f"forced {derived.method} factorization failed to reproduce the target"
         )
-    return 1, [(lt.table, rt.table)], False
+    return 1, [(derived.left.table, derived.right.table)], False
 
 
-def _solve_ua(g):
+def _solve_ua(g, derived):
     n, t = g.order, g.table
-    right = similar_factor(g).table
+    right = derived.right.table
     pair_cells = []
     choice_lists = []
     for x in range(n):
@@ -361,9 +378,9 @@ def _solve_ua(g):
     return count, sols, count > len(sols)
 
 
-def _solve_jo(g):
+def _solve_jo(g, derived):
     n, t = g.order, g.table
-    right = orient_factor(g).table
+    right = derived.right.table
     # cells off the anti-diagonal are pinned to the target, so the
     # composite is already determined there; bail out if it disagrees
     for x in range(n):
@@ -407,10 +424,11 @@ def _solve_jo(g):
     return count, sols, count > len(sols)
 
 
+# each solver takes the target and its derived FactorPair
 _SOLVERS = {
     "ua": _solve_ua,
-    "au": lambda g: _solve_forced(g, METHODS["au"]),
-    "oj": lambda g: _solve_forced(g, METHODS["oj"]),
+    "au": _solve_forced,
+    "oj": _solve_forced,
     "jo": _solve_jo,
 }
 
@@ -433,7 +451,7 @@ def uniqueness_search(g: Groupoid, method="ua", exhaustive=False) -> UniquenessR
             )
         count, sols, truncated = _solve_exhaustive(g, m)
     else:
-        count, sols, truncated = _SOLVERS[m.name](g)
+        count, sols, truncated = _SOLVERS[m.name](g, derived)
     sols.sort()
     pairs = tuple(
         (Groupoid(lt, labels=g.labels, zero=g.zero),
@@ -463,12 +481,13 @@ def _frame_fills(frame, n):
 def _solve_exhaustive(g, m):
     n = g.order
     lframe, rframe = m.left_frame(g), m.right_frame(g)
-    sols = []
-    for lt in _frame_fills(lframe, n):
-        left = Groupoid(lt)
-        for rt in _frame_fills(rframe, n):
-            if product(left, Groupoid(rt)) == g:
-                sols.append((lt, rt))
+    rights = list(_frame_fills(rframe, n))
+    sols = [
+        (lt, rt)
+        for lt in _frame_fills(lframe, n)
+        for rt in rights
+        if _compose(lt, rt) == g.table
+    ]
     return len(sols), sols, False
 
 
@@ -484,12 +503,12 @@ def binary_equivalent(a: Groupoid, b: Groupoid, witness: Groupoid | None = None)
     with ``product``, the built witness keeps labels (and likewise zero)
     only when a and b agree on them.
     """
-    if a.order != b.order:
-        raise OrderMismatch(f"orders {a.order} and {b.order} differ")
+    _same_order(a, b)
     if witness is not None:
         if witness.order != a.order:
             raise OrderMismatch(f"witness order {witness.order} != {a.order}")
-        if product(witness, a) == b and product(witness, b) == a:
+        wt = witness.table
+        if _compose(wt, a.table) == b.table and _compose(wt, b.table) == a.table:
             return witness
     n = a.order
     pa, pb = _pair_map(a), _pair_map(b)

@@ -10,12 +10,32 @@ both projection tables commute with everything.  The classical claim that
 the locally-zero tables are exactly the central ones does not hold: at
 orders <= 3 only the two projections survive the exhaustive scan for
 elements commuting with everything (see ``in_center``).
+
+One kernel computes ⋄: ``_compose`` works on raw tables (tuples of tuple
+rows) and reads row x of g against column x of g, so cell (x, y) is
+``h[g[x][y]][g[y][x]]``.  ``product`` wraps it in a validated Groupoid;
+``commutes``, the factorization flags and the claim verifier compare its
+raw tables directly and build no Groupoid for intermediate results;
+``is_identity`` compares with the cached left projection table.
 """
 
 from __future__ import annotations
 
-from .core import Groupoid, is_locally_zero, left_zero
+from .core import Groupoid, Table, _left_zero_table, is_locally_zero, left_zero
 from .errors import OrderMismatch
+
+
+def _compose(gt: Table, ht: Table) -> Table:
+    """The table of g ⋄ h from the tables of g and h (same order)."""
+    return tuple(
+        tuple([ht[a][b] for a, b in zip(row, col)])
+        for row, col in zip(gt, zip(*gt))
+    )
+
+
+def _same_order(g: Groupoid, h: Groupoid) -> None:
+    if g.order != h.order:
+        raise OrderMismatch(f"orders {g.order} and {h.order} differ")
 
 
 def identity(order: int) -> Groupoid:
@@ -29,25 +49,19 @@ def product(g: Groupoid, h: Groupoid) -> Groupoid:
     Labels (and likewise zero) carry over only when both operands agree
     on them; otherwise the result has none.
     """
-    if g.order != h.order:
-        raise OrderMismatch(f"orders {g.order} and {h.order} differ")
-    n = g.order
-    gt, ht = g.table, h.table
-    table = tuple(
-        tuple(ht[gt[x][y]][gt[y][x]] for y in range(n))
-        for x in range(n)
-    )
+    _same_order(g, h)
     labels = g.labels if g.labels == h.labels else None
     zero = g.zero if g.zero == h.zero else None
-    return Groupoid(table, labels=labels, zero=zero)
+    return Groupoid(_compose(g.table, h.table), labels=labels, zero=zero)
 
 
 def commutes(g: Groupoid, h: Groupoid) -> bool:
-    return product(g, h) == product(h, g)
+    _same_order(g, h)
+    return _compose(g.table, h.table) == _compose(h.table, g.table)
 
 
 def is_identity(g: Groupoid) -> bool:
-    return all(v == x for x, row in enumerate(g.table) for v in row)
+    return g.table == _left_zero_table(g.order)
 
 
 def in_center(g: Groupoid, method: str = "fast") -> bool:

@@ -1,15 +1,19 @@
 """Static checks over the package source.
 
 Every module under ``src/binsys`` (bar ``__init__.py``, which only
-re-exports) must use each name it imports.
+re-exports) must use each name it imports, and every function the traced
+benchmark run (``perfbench/layers.py``) wraps must still exist.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "binsys"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "binsys"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -38,3 +42,28 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "from .core import Groupoid, left_zero\nimport os\n\ndef f(g: Groupoid):\n    return g\n"
     assert unused_imports(source) == ["left_zero", "os"]
+
+
+def _perfbench_layers():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def test_traced_layers_resolve():
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in _perfbench_layers().items()
+        for name, _ in names
+        if not callable(getattr(importlib.import_module(f"binsys.{layer}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_groupoid_validation_hook_exists():
+    from binsys.core import Groupoid
+
+    assert callable(Groupoid.__dict__.get("__post_init__"))

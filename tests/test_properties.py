@@ -20,6 +20,8 @@ from binsys import (
     skew_factor,
     uniqueness_search,
 )
+from binsys.semigroup import _compose
+from reference_kernel import ref_compose
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -162,6 +164,17 @@ def test_factor_metadata_inherited(rows):
         signature_factor(g), similar_factor(g), orient_factor(g), skew_factor(g)
     ):
         assert factor.zero == 0
+
+
+pairs_large = st.integers(4, 6).flatmap(
+    lambda n: st.tuples(table_strategy(n, n), table_strategy(n, n))
+)
+
+
+@given(pairs_large)
+def test_compose_matches_reference(rows2):
+    gt, ht = (groupoid(r).table for r in rows2)
+    assert _compose(gt, ht) == ref_compose(gt, ht)
 
 
 @given(tables_any)
