@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
+from operator import eq
 
 from .errors import BadLabels, BadShape, BadZero, ClosureViolation, MissingZero
 
@@ -142,14 +143,15 @@ def left_zero(order: int, labels=None, zero=None) -> Groupoid:
     return Groupoid(_left_zero_table(order), labels=labels, zero=zero)
 
 
+def _right_zero_table(order: int) -> Table:
+    return (tuple(range(order)),) * order
+
+
 def right_zero(order: int, labels=None, zero=None) -> Groupoid:
     """The table with x∘y = y everywhere."""
     if order < 1:
         raise BadShape("order must be >= 1")
-    return Groupoid(
-        tuple(tuple(range(order)) for _ in range(order)),
-        labels=labels, zero=zero,
-    )
+    return Groupoid(_right_zero_table(order), labels=labels, zero=zero)
 
 
 def zero_semigroup(order: int, side: str = "left") -> Groupoid:
@@ -202,64 +204,77 @@ def diagonal_profile(g: Groupoid) -> DiagonalProfile:
 
 
 # --- predicates ---
+#
+# Each structural predicate is computed once, on the raw table; the public
+# functions (and so PREDICATES) and predicate_vector read g.table and call it.
+
+def _idempotent(t: Table) -> bool:
+    return all(row[x] == x for x, row in enumerate(t))
+
+
+def _strong(t: Table) -> bool:
+    # only the n diagonal cells may equal their transposed cell
+    return sum(map(eq, chain.from_iterable(t), chain.from_iterable(zip(*t)))) == len(t)
+
+
+def _orientation(t: Table) -> bool:
+    return all(v == x or v == y for x, row in enumerate(t) for y, v in enumerate(row))
+
+
+def _locally_zero(t: Table) -> bool:
+    # x∘y and y∘x both land on an operand and differ: the pair is (x, y) or (y, x)
+    return _orientation(t) and _strong(t)
+
+
+def _twisted_orientation(t: Table) -> bool:
+    n = len(t)
+    return not any(t[x][y] == x and t[y][x] != x for x in range(n) for y in range(n))
+
+
+def _bi_diagonal(t: Table) -> bool:
+    n = len(t)
+    return all(t[i][n - 1 - i] == t[n - 1 - i][i] for i in range(n // 2))
+
+
+def _abelian(t: Table) -> bool:
+    return t == tuple(zip(*t))
+
 
 def is_idempotent(g: Groupoid) -> bool:
     """x∘x = x for every element."""
-    return all(g.table[x][x] == x for x in range(g.order))
+    return _idempotent(g.table)
 
 
 def is_strong(g: Groupoid) -> bool:
     """Distinct elements never commute: x ≠ y implies x∘y ≠ y∘x."""
-    t = g.table
-    n = g.order
-    return all(t[x][y] != t[y][x] for x in range(n) for y in range(x + 1, n))
+    return _strong(g.table)
 
 
 def is_locally_zero(g: Groupoid) -> bool:
     """Every element is idempotent and every 2-element restriction is a
     projection table (one of the two orders)."""
-    t = g.table
-    n = g.order
-    if not is_idempotent(g):
-        return False
-    for x in range(n):
-        for y in range(x + 1, n):
-            if (t[x][y], t[y][x]) not in ((x, y), (y, x)):
-                return False
-    return True
+    return _locally_zero(g.table)
 
 
 def has_orientation(g: Groupoid) -> bool:
     """Every product lands on one of its operands (and so x∘x = x)."""
-    t = g.table
-    return all(t[x][y] in (x, y) for x in range(g.order) for y in range(g.order))
+    return _orientation(g.table)
 
 
 def has_twisted_orientation(g: Groupoid) -> bool:
     """Whenever the left operand wins one way it also wins the other:
     x∘y = x implies y∘x = x."""
-    t = g.table
-    n = g.order
-    for x in range(n):
-        for y in range(n):
-            if t[x][y] == x and t[y][x] != x:
-                return False
-    return True
+    return _twisted_orientation(g.table)
 
 
 def is_bi_diagonal(g: Groupoid) -> bool:
     """The anti-diagonal cells are symmetric: t[i][j] = t[j][i] when
     i + j = n - 1."""
-    t = g.table
-    n = g.order
-    return all(t[i][n - 1 - i] == t[n - 1 - i][i] for i in range(n))
+    return _bi_diagonal(g.table)
 
 
 def is_abelian(g: Groupoid) -> bool:
-    return all(
-        g.table[x][y] == g.table[y][x]
-        for x in range(g.order) for y in range(x + 1, g.order)
-    )
+    return _abelian(g.table)
 
 
 def is_semi_neutral(g: Groupoid) -> bool:
@@ -292,10 +307,15 @@ def check_predicate(g: Groupoid, name: str) -> bool:
 
 def predicate_vector(g: Groupoid) -> dict:
     """All predicates at once; semi_neutral is None when no zero is set."""
-    out = {}
-    for name, fn in PREDICATES.items():
-        if name == "semi_neutral" and g.zero is None:
-            out[name] = None
-        else:
-            out[name] = fn(g)
-    return out
+    t, zero = g.table, g.zero
+    strong, orientation = _strong(t), _orientation(t)
+    return {
+        "idempotent": _idempotent(t),
+        "strong": strong,
+        "locally_zero": orientation and strong,
+        "orientation": orientation,
+        "twisted_orientation": _twisted_orientation(t),
+        "bi_diagonal": _bi_diagonal(t),
+        "abelian": _abelian(t),
+        "semi_neutral": None if zero is None else t == _semi_neutral_table(len(t), zero),
+    }

@@ -11,6 +11,12 @@ Three entry points:
   the registry on purpose: their reports document *where* the general
   statement breaks.
 
+Claims read raw tables: a per-table claim's hypothesis and conclusion take
+``(g, z)``, the drawn table and the zero under test (None unless the claim
+needs one), and compare derived factors and composites as tuples from the
+raw-table kernels.  A Groupoid carrying the zero is built only for a
+recorded counterexample, or to call ``classify`` once the hypothesis holds.
+
 Work is split over processes when the job is large; ``BINSYS_THREADS``
 (else the CPU count) sets the worker count, and results are identical for
 any worker count because shards are merged in order.
@@ -22,38 +28,39 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from functools import cache
 from multiprocessing import get_context
 
 from .core import (
     Groupoid,
-    has_orientation,
-    is_abelian,
-    is_bi_diagonal,
-    is_locally_zero,
-    is_semi_neutral,
-    is_strong,
+    _abelian,
+    _bi_diagonal,
+    _left_zero_table,
+    _locally_zero,
+    _orientation,
+    _right_zero_table,
+    _semi_neutral_table,
+    _strong,
     left_zero,
     right_zero,
     semi_neutral_groupoid,
 )
-from .axioms import axiom_holds
+from .axioms import _ax_b1
 from .errors import EXHAUSTIVE_ORDER_LIMIT, OrderTooLarge, PreconditionError
 from .factorization import (
-    au_holds,
+    _au_holds,
+    _jo_holds,
+    _oj_holds,
+    _orient,
+    _signature,
+    _similar,
+    _skew,
+    _ua_holds,
     classify,
-    is_partially_prime,
-    jo_holds,
-    oj_holds,
     orient_factor,
-    signature_factor,
-    similar_factor,
-    skew_factor,
-    ua_holds,
     uniqueness_search,
 )
 from .graphs import SimpleGraph, all_graphs, from_graph
-from .semigroup import _compose, commutes, identity, in_center, is_identity, product
+from .semigroup import _compose, _is_identity, in_center
 
 MAX_COUNTEREXAMPLES = 5
 
@@ -267,7 +274,7 @@ class ClaimContext:
     def op_tables(self):
         """Tables where every product lands on an operand."""
         if self.mode == "exhaustive":
-            return (g for g in all_groupoids(self.order) if has_orientation(g))
+            return (g for g in all_groupoids(self.order) if _orientation(g.table))
         rng = self.rng("op")
         n = self.order
 
@@ -283,32 +290,29 @@ class ClaimContext:
         return gen()
 
 
-def _sweep(ctx, needs_zero):
-    """The (table, variants) stream: zero-needing claims see every zero."""
-    for g in ctx.groupoids():
-        if needs_zero:
-            for z in range(ctx.order):
-                yield g.with_metadata(zero=z)
-        else:
-            yield g
-
-
 def _universal(cid, statement, conclusion, hypothesis=None, needs_zero=False,
                min_order=1, expected="pass"):
-    """A claim checked per table (times per zero when needs_zero)."""
+    """A claim checked per table (times per zero when needs_zero).
+
+    ``hypothesis`` and ``conclusion`` take ``(g, z)``: the table as drawn
+    and the zero under test, None unless the claim needs one.  No zeroed
+    copy of g is built to filter or check it; a counterexample is recorded
+    as ``g.with_metadata(zero=z)``.
+    """
 
     def run(ctx):
         if ctx.order < min_order:
             return 0, [], f"not checked below order {min_order}"
+        zeros = range(ctx.order) if needs_zero else (None,)
         checked = 0
         cexs = []
-        for g in _sweep(ctx, needs_zero):
-            if hypothesis is not None and not hypothesis(g):
-                continue
-            checked += 1
-            if not conclusion(g):
-                if len(cexs) < MAX_COUNTEREXAMPLES:
-                    cexs.append(g)
+        for g in ctx.groupoids():
+            for z in zeros:
+                if hypothesis is not None and not hypothesis(g, z):
+                    continue
+                checked += 1
+                if not conclusion(g, z) and len(cexs) < MAX_COUNTEREXAMPLES:
+                    cexs.append(g if z is None else g.with_metadata(zero=z))
         return checked, cexs, None
 
     return Claim(cid, statement, expected, run)
@@ -330,8 +334,9 @@ def _singleton(cid, statement, check, min_order=1):
 
 def _closed(cid, statement, tables, predicate):
     """A claim that the composite of two tables drawn from ``tables(ctx)``
-    satisfies ``predicate``: every ordered pair when exhaustive, else the
-    first half of the drawn pool against the second."""
+    satisfies ``predicate`` (on the raw composite table): every ordered
+    pair when exhaustive, else the first half of the drawn pool against
+    the second."""
 
     def run(ctx):
         pool = list(tables(ctx))
@@ -344,7 +349,7 @@ def _closed(cid, statement, tables, predicate):
         cexs = []
         for a, b in pairs:
             checked += 1
-            if not predicate(product(a, b)):
+            if not predicate(_compose(a.table, b.table)):
                 if len(cexs) < MAX_COUNTEREXAMPLES * 2:
                     cexs.extend([a, b])
         note = "counterexamples listed as flattened pairs" if cexs else None
@@ -355,32 +360,35 @@ def _closed(cid, statement, tables, predicate):
 
 # helpers shared by several claims
 
-@cache
+def _t(check):
+    """A (g, z) claim test that reads only g's raw table."""
+    return lambda g, z: check(g.table)
+
+
 def _projections(order):
     """The left (the ⋄-identity) and right projection tables of an order."""
-    return left_zero(order), right_zero(order)
+    return _left_zero_table(order), _right_zero_table(order)
 
 
 def _unique(method):
     """The method's derived pair reproduces g and is its only in-shape pair."""
 
-    def check(g):
+    def check(g, z):
         rep = uniqueness_search(g, method)
         return rep.solution_count == 1 and rep.derived.reproduces
 
     return check
 
 
-def _is_abelian_group(g):
-    t = g.table
-    n = g.order
+def _is_abelian_group(t):
+    n = len(t)
     e = next(
         (c for c in range(n)
          if all(t[c][x] == x for x in range(n))
          and all(t[x][c] == x for x in range(n))),
         None,
     )
-    if e is None or not is_abelian(g):
+    if e is None or not _abelian(t):
         return False
     if any(all(t[x][y] != e for y in range(n)) for x in range(n)):
         return False
@@ -390,10 +398,9 @@ def _is_abelian_group(g):
     )
 
 
-def _no_op_cells(g):
+def _no_op_cells(t):
     # no idempotent element and no product equal to an operand
-    t = g.table
-    n = g.order
+    n = len(t)
     if any(t[x][x] == x for x in range(n)):
         return False
     return all(
@@ -441,12 +448,11 @@ def _run_associative(ctx):
 
 
 def _run_center_self_inverse(ctx):
-    ident = identity(ctx.order)
     checked = 0
     cexs = []
     for g in ctx.locally_zero_tables():
         checked += 1
-        if product(g, g) != ident:
+        if not _is_identity(_compose(g.table, g.table)):
             if len(cexs) < MAX_COUNTEREXAMPLES:
                 cexs.append(g)
     return checked, cexs, None
@@ -471,22 +477,18 @@ def _run_semi_neutral_product(ctx):
     checked = 0
     cexs = []
     for z in range(ctx.order):
-        s = semi_neutral_groupoid(ctx.order, z)
+        s = _semi_neutral_table(ctx.order, z)
         checked += 1
-        if not is_semi_neutral(product(s, s)):
-            cexs.append(s)
+        if _compose(s, s) != s:
+            cexs.append(semi_neutral_groupoid(ctx.order, z))
     return checked, cexs, None
-
-
-def _b1_holds(g):
-    return axiom_holds(g, "B1")
 
 
 CLAIMS = [
     _universal(
         "thm-2.4-identity",
         "the left projection table is a two-sided identity for the composition",
-        lambda g: product(e := _projections(g.order)[0], g) == g == product(g, e),
+        _t(lambda t: _compose(e := _left_zero_table(len(t)), t) == t == _compose(t, e)),
     ),
     Claim(
         "thm-2.4-associative",
@@ -496,17 +498,17 @@ CLAIMS = [
     _singleton(
         "prop-2.5-right-zero-strong",
         "the right projection table is strong",
-        lambda n: None if is_strong(right_zero(n)) else right_zero(n),
+        lambda n: None if _strong(_right_zero_table(n)) else right_zero(n),
     ),
     _universal(
         "prop-2.6-projections-central",
         "both projection tables commute with every table",
-        lambda g: all(commutes(g, p) for p in _projections(g.order)),
+        _t(lambda t: all(_compose(t, p) == _compose(p, t) for p in _projections(len(t)))),
     ),
     _closed(
         "cor-2.7-center-closed",
         "the composite of two locally-zero tables is locally zero",
-        ClaimContext.locally_zero_tables, is_locally_zero,
+        ClaimContext.locally_zero_tables, _locally_zero,
     ),
     Claim(
         "prop-2.8-center-self-inverse",
@@ -525,18 +527,18 @@ CLAIMS = [
     _universal(
         "thm-3.1.3-strong-ua",
         "signature times similar reproduces every strong table",
-        ua_holds, hypothesis=is_strong,
+        _t(_ua_holds), hypothesis=_t(_strong),
     ),
     _universal(
         "cor-3.1.4-ua-unique",
         "a strong table has exactly one signature-shape/similar-shape factorization",
         _unique("ua"),
-        hypothesis=is_strong,
+        hypothesis=_t(_strong),
     ),
     _universal(
         "thm-3.2.3-au-universal",
         "similar times signature reproduces every table",
-        au_holds,
+        _t(_au_holds),
     ),
     _universal(
         "cor-3.2.4-au-unique",
@@ -546,81 +548,68 @@ CLAIMS = [
     _universal(
         "cor-3.2.5-strong-u-normal",
         "strong tables factor both ways through signature and similar",
-        lambda g: ua_holds(g) and au_holds(g),
-        hypothesis=is_strong,
+        _t(lambda t: _ua_holds(t) and _au_holds(t)),
+        hypothesis=_t(_strong),
     ),
     _universal(
         "prop-3.2-similar-factor-strong",
         "the similar factor of any table is strong",
-        lambda g: is_strong(similar_factor(g)),
+        _t(lambda t: _strong(_similar(t))),
     ),
     _universal(
         "prop-3.2.7-prime-implies-u-normal",
         "a table whose signature or similar factor is trivial factors both ways",
-        lambda g: ua_holds(g) and au_holds(g),
-        hypothesis=lambda g: is_identity(signature_factor(g))
-        or is_identity(similar_factor(g)),
+        _t(lambda t: _ua_holds(t) and _au_holds(t)),
+        hypothesis=_t(lambda t: _is_identity(_signature(t)) or _is_identity(_similar(t))),
     ),
     _singleton(
         "prop-3.2.8-right-zero-similar-prime",
         "the right projection table has a trivial similar factor",
         lambda n: None
-        if is_identity(similar_factor(right_zero(n))) and ua_holds(right_zero(n))
+        if _is_identity(_similar(r := _right_zero_table(n))) and _ua_holds(r)
         else right_zero(n),
     ),
     _universal(
         "prop-3.2.10-statement",
         "a strong table that is not locally zero is u-composite",
-        lambda g: classify(g).u_composite,
-        hypothesis=lambda g: is_strong(g) and not is_locally_zero(g),
+        lambda g, z: classify(g).u_composite,
+        hypothesis=_t(lambda t: _strong(t) and not _locally_zero(t)),
         expected="fail",
     ),
     _universal(
         "prop-3.2.10-proof",
         "a strong table with no idempotent cell and no operand-valued product is u-composite",
-        lambda g: classify(g).u_composite,
-        hypothesis=lambda g: is_strong(g) and _no_op_cells(g),
+        lambda g, z: classify(g).u_composite,
+        hypothesis=_t(lambda t: _strong(t) and _no_op_cells(t)),
     ),
     _universal(
         "thm-3.3.1-factor-primes",
         "the similar factor of a signature factor is trivial, and vice versa",
-        lambda g: is_identity(similar_factor(signature_factor(g)))
-        and is_identity(signature_factor(similar_factor(g))),
+        _t(lambda t: _is_identity(_similar(_signature(t)))
+           and _is_identity(_signature(_similar(t)))),
     ),
     _universal(
         "cor-3.3.2-ua-refactor",
         "re-deriving both factors and composing again still reproduces the table (signature first)",
-        lambda g: product(
-            signature_factor(signature_factor(g)),
-            similar_factor(similar_factor(g)),
-        ) == g,
-        hypothesis=ua_holds,
+        _t(lambda t: _compose(_signature(_signature(t)), _similar(_similar(t))) == t),
+        hypothesis=_t(_ua_holds),
     ),
     _universal(
         "cor-3.3.3-au-refactor",
         "re-deriving both factors and composing again still reproduces the table (similar first)",
-        lambda g: product(
-            similar_factor(similar_factor(g)),
-            signature_factor(signature_factor(g)),
-        ) == g,
+        _t(lambda t: _compose(_similar(_similar(t)), _signature(_signature(t))) == t),
     ),
     _universal(
         "cor-3.3.4-strong-refactor",
         "for strong tables the re-derived factors compose back in both orders",
-        lambda g: product(
-            signature_factor(signature_factor(g)),
-            similar_factor(similar_factor(g)),
-        ) == g
-        and product(
-            similar_factor(similar_factor(g)),
-            signature_factor(signature_factor(g)),
-        ) == g,
-        hypothesis=is_strong,
+        _t(lambda t: _compose(sig := _signature(_signature(t)), sim := _similar(_similar(t))) == t
+           and _compose(sim, sig) == t),
+        hypothesis=_t(_strong),
     ),
     _universal(
         "thm-4.1.2-oj-universal",
         "orient times skew reproduces every table",
-        oj_holds,
+        _t(_oj_holds),
     ),
     _universal(
         "cor-4.1.3-oj-unique",
@@ -630,46 +619,44 @@ CLAIMS = [
     _universal(
         "thm-4.2.3-op-jo",
         "skew times orient reproduces every operand-valued table",
-        jo_holds, hypothesis=has_orientation,
+        _t(_jo_holds), hypothesis=_t(_orientation),
     ),
     _universal(
         "cor-4.2.4-jo-unique",
         "an operand-valued table has exactly one skew-shape/orient factorization",
         _unique("jo"),
-        hypothesis=has_orientation,
+        hypothesis=_t(_orientation),
     ),
     _universal(
         "prop-4.2.5-op-j-normal",
         "operand-valued tables factor both ways through orient and skew",
-        lambda g: oj_holds(g) and jo_holds(g),
-        hypothesis=has_orientation,
+        _t(lambda t: _oj_holds(t) and _jo_holds(t)),
+        hypothesis=_t(_orientation),
     ),
     _closed(
         "op-product-closed",
         "the composite of two operand-valued tables is operand-valued",
-        ClaimContext.op_tables, has_orientation,
+        ClaimContext.op_tables, _orientation,
     ),
     _singleton(
         "prop-4.4-orient-locally-zero",
         "the orient factor is locally zero",
         lambda n: None
-        if is_locally_zero(orient_factor(left_zero(n)))
+        if _locally_zero(_orient(_left_zero_table(n)))
         else orient_factor(left_zero(n)),
     ),
     _singleton(
         "cor-4.5-orient-unit",
         "the orient factor squares to the identity",
         lambda n: None
-        if product(orient_factor(left_zero(n)), orient_factor(left_zero(n)))
-        == identity(n)
+        if _is_identity(_compose(o := _orient(_left_zero_table(n)), o))
         else orient_factor(left_zero(n)),
     ),
     _universal(
         "thm-4.3.1-orient-skew",
         "the skew factor of the orient factor is trivial, and orient composed "
         "with the table gives its skew factor",
-        lambda g: is_identity(skew_factor(orient_factor(g)))
-        and product(orient_factor(g), g) == skew_factor(g),
+        _t(lambda t: _is_identity(_skew(o := _orient(t))) and _compose(o, t) == _skew(t)),
     ),
     _singleton(
         "thm-4.3.3-right-zero-j-composite",
@@ -681,22 +668,25 @@ CLAIMS = [
         "prop-4.3.5-bi-diagonal-partial",
         "a non-trivial table with a symmetric anti-diagonal reproduces itself "
         "against its orient factor on the left",
-        lambda g: is_partially_prime(g, orient_factor(g), "left"),
-        hypothesis=lambda g: is_bi_diagonal(g) and not is_identity(g),
+        # is_partially_prime(g, orient_factor(g), "left") on raw tables
+        _t(lambda t: not _is_identity(o := _orient(t)) and _compose(o, t) == t),
+        hypothesis=_t(lambda t: _bi_diagonal(t) and not _is_identity(t)),
     ),
     _universal(
         "prop-5.1-semi-neutral-prime-composite",
         "a non-trivial semi-neutral table has a trivial signature factor and "
         "is composite through orient and skew",
-        lambda g: (r := classify(g)).signature_prime and r.oj_composite,
-        hypothesis=lambda g: is_semi_neutral(g) and not is_identity(g),
+        lambda g, z: (r := classify(g.with_metadata(zero=z))).signature_prime and r.oj_composite,
+        hypothesis=lambda g, z: g.table == _semi_neutral_table(g.order, z)
+        and not _is_identity(g.table),
         needs_zero=True,
     ),
     _universal(
         "cor-5.2-semi-neutral-semi-normal",
         "a non-trivial semi-neutral table is semi-normal",
-        lambda g: classify(g).semi_normal,
-        hypothesis=lambda g: is_semi_neutral(g) and not is_identity(g),
+        lambda g, z: classify(g.with_metadata(zero=z)).semi_normal,
+        hypothesis=lambda g, z: g.table == _semi_neutral_table(g.order, z)
+        and not _is_identity(g.table),
         needs_zero=True,
     ),
     Claim(
@@ -707,15 +697,15 @@ CLAIMS = [
     _universal(
         "prop-5.4-b1-similar-semi-neutral",
         "when the diagonal is constantly zero the similar factor is semi-neutral",
-        lambda g: is_semi_neutral(similar_factor(g)),
-        hypothesis=_b1_holds,
+        lambda g, z: _similar(g.table) == _semi_neutral_table(g.order, z),
+        hypothesis=lambda g, z: _ax_b1(g.table, g.order, z),
         needs_zero=True,
     ),
     _universal(
         "cor-5.5-strong-b1-semi-normal",
         "a strong table with constantly-zero diagonal is semi-normal",
-        lambda g: classify(g).semi_normal,
-        hypothesis=lambda g: is_strong(g) and _b1_holds(g),
+        lambda g, z: classify(g.with_metadata(zero=z)).semi_normal,
+        hypothesis=lambda g, z: _strong(g.table) and _ax_b1(g.table, g.order, z),
         needs_zero=True,
         min_order=2,  # at order 1 both derived factors are semi-neutral
     ),
@@ -723,16 +713,17 @@ CLAIMS = [
         "cor-5.6-strong-b1-semi-composite",
         "a strong, constantly-zero-diagonal table that is not itself "
         "semi-neutral is semi-composite",
-        lambda g: classify(g).semi_composite,
-        hypothesis=lambda g: is_strong(g) and _b1_holds(g) and not is_semi_neutral(g),
+        lambda g, z: classify(g.with_metadata(zero=z)).semi_composite,
+        hypothesis=lambda g, z: _strong(g.table) and _ax_b1(g.table, g.order, z)
+        and g.table != _semi_neutral_table(g.order, z),
         needs_zero=True,
     ),
     _universal(
         "prop-5.9-magma",
         "no symmetric table of order at least 2 factors both ways through "
         "signature and similar",
-        lambda g: not (ua_holds(g) and au_holds(g)),
-        hypothesis=is_abelian,
+        _t(lambda t: not (_ua_holds(t) and _au_holds(t))),
+        hypothesis=_t(_abelian),
         min_order=2,
         expected="fail",
     ),
@@ -740,8 +731,8 @@ CLAIMS = [
         "prop-5.9-group",
         "no abelian group table of order at least 2 factors both ways through "
         "signature and similar",
-        lambda g: not (ua_holds(g) and au_holds(g)),
-        hypothesis=_is_abelian_group,
+        _t(lambda t: not (_ua_holds(t) and _au_holds(t))),
+        hypothesis=_t(_is_abelian_group),
         min_order=2,
     ),
 ]

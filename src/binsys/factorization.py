@@ -191,24 +191,39 @@ def factorize(g: Groupoid, method="ua") -> FactorPair:
     return FactorPair(m.name, lt, rt, comp, comp == g)
 
 
+# The four flags on raw tables.  classify passes the factors it has
+# already derived; every other caller lets the check derive them.
+
+def _ua_holds(t: Table, sig: Table | None = None, sim: Table | None = None) -> bool:
+    return _compose(sig or _signature(t), sim or _similar(t)) == t
+
+
+def _au_holds(t: Table, sig: Table | None = None, sim: Table | None = None) -> bool:
+    return _compose(sim or _similar(t), sig or _signature(t)) == t
+
+
+def _oj_holds(t: Table, skw: Table | None = None) -> bool:
+    return _compose(_orient(t), skw or _skew(t)) == t
+
+
+def _jo_holds(t: Table, skw: Table | None = None) -> bool:
+    return _compose(skw or _skew(t), _orient(t)) == t
+
+
 def ua_holds(g: Groupoid) -> bool:
-    t = g.table
-    return _compose(_signature(t), _similar(t)) == t
+    return _ua_holds(g.table)
 
 
 def au_holds(g: Groupoid) -> bool:
-    t = g.table
-    return _compose(_similar(t), _signature(t)) == t
+    return _au_holds(g.table)
 
 
 def oj_holds(g: Groupoid) -> bool:
-    t = g.table
-    return _compose(_orient(t), _skew(t)) == t
+    return _oj_holds(g.table)
 
 
 def jo_holds(g: Groupoid) -> bool:
-    t = g.table
-    return _compose(_skew(t), _orient(t)) == t
+    return _jo_holds(g.table)
 
 
 # --- classification ---
@@ -253,10 +268,8 @@ def classify(g: Groupoid) -> ClassificationReport:
     """Evaluate every predicate and factorization flag for one table."""
     t = g.table
     sig, sim, ori, skw = _signature(t), _similar(t), _orient(t), _skew(t)
-    ua = _compose(sig, sim) == t
-    au = _compose(sim, sig) == t
-    oj = _compose(ori, skw) == t
-    jo = _compose(skw, ori) == t
+    ua, au = _ua_holds(t, sig, sim), _au_holds(t, sig, sim)
+    oj, jo = _oj_holds(t, skw), _jo_holds(t, skw)
     ident = _left_zero_table(g.order)
     sig_p, sim_p = sig == ident, sim == ident
     ori_p, skw_p = ori == ident, skw == ident

@@ -60,8 +60,12 @@ def commutes(g: Groupoid, h: Groupoid) -> bool:
     return _compose(g.table, h.table) == _compose(h.table, g.table)
 
 
+def _is_identity(t: Table) -> bool:
+    return t == _left_zero_table(len(t))
+
+
 def is_identity(g: Groupoid) -> bool:
-    return g.table == _left_zero_table(g.order)
+    return _is_identity(g.table)
 
 
 def in_center(g: Groupoid, method: str = "fast") -> bool:

@@ -3,8 +3,10 @@
 These are the implementations the library ran before every flag was
 computed on raw tables: a nested-generator product, factor derivations
 that build a Groupoid per factor, an identity test that walks every cell,
-and the cell-by-cell table validation.  The tests keep them as oracles
-for ``semigroup._compose``, ``classify`` and ``Groupoid.__post_init__``.
+the structural predicates as loops over a Groupoid's cells, and the
+cell-by-cell table validation.  The tests keep them as oracles for
+``semigroup._compose``, the raw predicates in ``core``,
+``predicate_vector``, ``classify`` and ``Groupoid.__post_init__``.
 """
 
 from binsys import (
@@ -12,7 +14,6 @@ from binsys import (
     ClosureViolation,
     Groupoid,
     OrderMismatch,
-    predicate_vector,
 )
 
 
@@ -46,6 +47,75 @@ def ref_is_semi_neutral(g, zero):
     return all(
         t[x][y] == (zero if x == y else x) for x in range(n) for y in range(n)
     )
+
+
+def ref_is_idempotent(g):
+    return all(g.table[x][x] == x for x in range(g.order))
+
+
+def ref_is_strong(g):
+    t = g.table
+    n = g.order
+    return all(t[x][y] != t[y][x] for x in range(n) for y in range(x + 1, n))
+
+
+def ref_is_locally_zero(g):
+    t = g.table
+    n = g.order
+    if not ref_is_idempotent(g):
+        return False
+    for x in range(n):
+        for y in range(x + 1, n):
+            if (t[x][y], t[y][x]) not in ((x, y), (y, x)):
+                return False
+    return True
+
+
+def ref_has_orientation(g):
+    t = g.table
+    return all(t[x][y] in (x, y) for x in range(g.order) for y in range(g.order))
+
+
+def ref_has_twisted_orientation(g):
+    t = g.table
+    n = g.order
+    for x in range(n):
+        for y in range(n):
+            if t[x][y] == x and t[y][x] != x:
+                return False
+    return True
+
+
+def ref_is_bi_diagonal(g):
+    t = g.table
+    n = g.order
+    return all(t[i][n - 1 - i] == t[n - 1 - i][i] for i in range(n))
+
+
+def ref_is_abelian(g):
+    return all(
+        g.table[x][y] == g.table[y][x]
+        for x in range(g.order) for y in range(x + 1, g.order)
+    )
+
+
+# predicate name -> loop oracle, in predicate_vector's key order
+REF_PREDICATES = {
+    "idempotent": ref_is_idempotent,
+    "strong": ref_is_strong,
+    "locally_zero": ref_is_locally_zero,
+    "orientation": ref_has_orientation,
+    "twisted_orientation": ref_has_twisted_orientation,
+    "bi_diagonal": ref_is_bi_diagonal,
+    "abelian": ref_is_abelian,
+}
+
+
+def ref_predicate_vector(g):
+    """``predicate_vector(g)`` from the loop oracles."""
+    out = {name: fn(g) for name, fn in REF_PREDICATES.items()}
+    out["semi_neutral"] = None if g.zero is None else ref_is_semi_neutral(g, g.zero)
+    return out
 
 
 def ref_signature(g):
@@ -109,7 +179,7 @@ def ref_classify_by_zero(g):
     jo_c = jo and not ori_p and not skw_p
     u_n, j_n = ua and au, oj and jo
     u_c, j_c = ua_c and au_c, oj_c and jo_c
-    base = predicate_vector(g)
+    base = ref_predicate_vector(g)
     out = {}
     for zero in (None, *range(g.order)):
         predicates = dict(base)

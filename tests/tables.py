@@ -198,11 +198,13 @@ CENSUS3 = {
 }
 
 # SHA-256 of json.dumps([r.to_dict() for r in reports]) for
-# verify_claims(2) and verify_claims(order, sample=200, seed=1) at orders 4
-# and 5.  The sampled reports pin the seeded side streams (random triples,
+# verify_claims(order) at orders 2 and 3 and
+# verify_claims(order, sample=200, seed=1) at orders 4, 5 and 6.  The sampled reports pin the seeded side streams (random triples,
 # locally-zero and operand-valued pools) as well as the main sample.
 VERIFY_DIGESTS = {
     2: "2290a3fba785587cd1f1f9e6ef4f01a67e92e58568f90f06f193a8a891cff9c7",
+    3: "54c614979e61d3bcedcde0e0497542851db0ccd69b236c73c7040a903b1be0dd",
     4: "44000e04dec3dd9899a432cf9213e0e20428ba6ac0abb107c51ce111887c6835",
     5: "a37946c0edfd88a19972d2b70bb09c5959d2bc7d5fd2898f06c94c33ca1eba84",
+    6: "c04bfe425150ab1ed6ba4f16928e3ec5c912e84a6db87ca6c86aba37602f265d",
 }

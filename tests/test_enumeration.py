@@ -4,8 +4,10 @@ import json
 import pytest
 
 import tables
+from binsys import enumeration
 from binsys import (
     CLAIMS,
+    Groupoid,
     OrderTooLarge,
     PreconditionError,
     REGISTRY,
@@ -175,10 +177,10 @@ class TestVerifyClaims:
         assert by_id["thm-3.2.3-au-universal"].passed
         assert by_id["thm-3.2.3-au-universal"].checked == 200
 
-    @pytest.mark.parametrize("order", [2, 4, 5])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_reports_frozen(self, order):
-        # exhaustive at order 2; seeded samples above
-        sample, seed = (None, None) if order == 2 else (200, 1)
+        # exhaustive at orders 2 and 3; seeded samples above
+        sample, seed = (None, None) if order <= 3 else (200, 1)
         reports = verify_claims(order, sample=sample, seed=seed)
         text = json.dumps([r.to_dict() for r in reports])
         assert hashlib.sha256(text.encode()).hexdigest() == tables.VERIFY_DIGESTS[order]
@@ -218,6 +220,44 @@ class TestVerifyClaims:
         base = [r.to_dict() for r in verify_claims(2)]
         forked = [r.to_dict() for r in verify_claims(2, workers=2)]
         assert base == forked
+
+    def test_counterexample_carries_its_zero(self):
+        # hypothesis and conclusion see (g, z); only a failing pair is
+        # rebuilt with its zero
+        seen = []
+
+        def hypothesis(g, z):
+            seen.append((g.zero, z))
+            return z != 0
+
+        claim = enumeration._universal(
+            "zero-one-fails", "", lambda g, z: z != 1, hypothesis, needs_zero=True,
+        )
+        checked, cexs, _ = claim.runner(enumeration.ClaimContext(2, "exhaustive"))
+        pool = list(all_groupoids(2))
+        assert seen == [(None, z) for _ in pool for z in (0, 1)]
+        assert checked == len(pool)
+        assert [(c.table, c.zero) for c in cexs] == [
+            (g.table, 1) for g in pool[:enumeration.MAX_COUNTEREXAMPLES]
+        ]
+
+    def test_groupoid_constructions_bounded(self, monkeypatch):
+        # Claims and predicates compare raw tables; a Groupoid is built for
+        # the sampled domains, the public uniqueness_search and recorded
+        # counterexamples.  Measured: 13,072 constructions when every
+        # claim wrapped its derived factors, composites and zeroed copies
+        # in a Groupoid; 3,491 with raw tables.
+        calls = 0
+        validate = Groupoid.__post_init__
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            validate(self)
+
+        monkeypatch.setattr(Groupoid, "__post_init__", counting)
+        verify_claims(5, sample=200, seed=1, workers=1)
+        assert 0 < calls <= 3491
 
 
 class TestCenterAgreementClaim:

@@ -1,31 +1,63 @@
-"""The raw-table ⋄ kernel and the flags computed on it, against the slow
-Groupoid paths kept in ``reference_kernel``; and Groupoid validation
-against the cell-by-cell checks it replaced."""
+"""The raw-table ⋄ kernel and the flags and predicates computed on it,
+against the slow Groupoid paths kept in ``reference_kernel``; and Groupoid
+validation against the cell-by-cell checks it replaced."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binsys import (
+    PREDICATES,
     Groupoid,
     all_groupoids,
     au_holds,
+    axiom_holds,
     classify,
     commutes,
     is_identity,
     jo_holds,
     oj_holds,
+    predicate_vector,
     right_zero,
     ua_holds,
 )
+from binsys import core
 from binsys.semigroup import _compose
 from reference_kernel import (
+    REF_PREDICATES,
     ref_classify_by_zero,
     ref_commutes,
     ref_compose,
     ref_is_identity,
+    ref_is_strong,
+    ref_predicate_vector,
     ref_validate,
 )
+
+# predicate name -> the raw-table implementation in core
+RAW_PREDICATES = {
+    "idempotent": core._idempotent,
+    "strong": core._strong,
+    "locally_zero": core._locally_zero,
+    "orientation": core._orientation,
+    "twisted_orientation": core._twisted_orientation,
+    "bi_diagonal": core._bi_diagonal,
+    "abelian": core._abelian,
+}
+
+
+def assert_predicates_match(g):
+    """Raw, public and vector predicates of g (and of g with each zero)
+    against the loop oracles; the vector's key order included."""
+    expected = {name: ref(g) for name, ref in REF_PREDICATES.items()}
+    assert {name: raw(g.table) for name, raw in RAW_PREDICATES.items()} == expected
+    assert axiom_holds(g, "STRONG") == ref_is_strong(g)
+    for zero in (None, *range(g.order)):
+        variant = g.with_metadata(zero=zero)
+        assert {name: PREDICATES[name](variant) for name in expected} == expected
+        vector = predicate_vector(variant)
+        assert list(vector.items()) == list(ref_predicate_vector(variant).items())
 
 
 class TestComposeMatchesReference:
@@ -64,6 +96,37 @@ class TestFlagsMatchReference:
             for zero in (None, *range(order)):
                 variant = g.with_metadata(zero=zero)
                 assert classify(variant).to_dict() == expected[zero]
+
+
+class TestPredicatesMatchReference:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_table(self, order):
+        for g in all_groupoids(order):
+            assert_predicates_match(g)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_larger_orders(self, data):
+        # each cell is its row operand, its column operand or any element,
+        # so oriented, strong and locally-zero tables are drawn often; a
+        # constant diagonal and a mirrored upper triangle reach the
+        # semi-neutral and abelian tables
+        n = data.draw(st.integers(4, 6))
+        diagonal = data.draw(st.none() | st.integers(0, n - 1))
+        rows = [
+            [data.draw(st.sampled_from((x, y)) | st.integers(0, n - 1)) for y in range(n)]
+            for x in range(n)
+        ]
+        if diagonal is not None:
+            for x in range(n):
+                rows[x][x] = diagonal
+        if data.draw(st.booleans()):
+            rows = [[rows[min(x, y)][max(x, y)] for y in range(n)] for x in range(n)]
+        assert_predicates_match(Groupoid(rows))
+
+    def test_every_predicate_is_covered(self):
+        assert [*RAW_PREDICATES, "semi_neutral"] == list(PREDICATES)
+        assert list(REF_PREDICATES) == list(RAW_PREDICATES)
 
 
 class IntLike(int):
