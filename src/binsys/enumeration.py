@@ -2,8 +2,9 @@
 
 Three entry points:
 
-* ``all_groupoids`` / ``random_groupoids`` — the raw streams, in row-major
-  lexicographic order (respectively i.i.d. uniform cells from a seed).
+* ``all_groupoids`` / ``random_groupoids`` — the table streams, in row-major
+  lexicographic order (respectively i.i.d. uniform cells from a seed,
+  exactly those of ``randrange`` cell by cell, drawn in blocks).
 * ``census`` — predicate and classification counts over a whole order.
 * ``verify_claims`` — run a registry of general statements about tables
   against every table of an order (or a seeded sample at larger orders)
@@ -16,10 +17,16 @@ Claims read raw tables: a per-table claim's hypothesis and conclusion take
 needs one), and compare derived factors and composites as tuples from the
 raw-table kernels.  A Groupoid carrying the zero is built only for a
 recorded counterexample, or to call ``classify`` once the hypothesis holds.
+The side domains of ``ClaimContext`` (random triples, locally-zero and
+operand-valued tables) and the uniqueness counts are raw as well; a table
+from them is wrapped in a Groupoid only when it is recorded as a
+counterexample.
 
-Work is split over processes when the job is large; ``BINSYS_THREADS``
-(else the CPU count) sets the worker count, and results are identical for
-any worker count because shards are merged in order.
+Work is split over forked processes when the job is large and the
+platform can fork; ``BINSYS_THREADS`` (else the CPU count) sets the worker
+count, and results are identical for any worker count because shards are
+merged in order.  ``verify_claims`` logs its phase timings to the
+``binsys`` logger at DEBUG.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import sys
+import time
+from array import array
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -54,21 +64,32 @@ from .factorization import (
     _signature,
     _similar,
     _skew,
+    _solution_count,
     _ua_holds,
     classify,
     orient_factor,
-    uniqueness_search,
 )
-from .graphs import SimpleGraph, all_graphs, from_graph
+from .graphs import SimpleGraph, _graph_table, all_graphs
 from .semigroup import _compose, _is_identity, in_center
 
 MAX_COUNTEREXAMPLES = 5
+
+# 32-bit words taken from the RNG per getrandbits call (see _randbelow_blocks)
+_BLOCK_WORDS = 4096
 
 _ALL_CACHE: dict[int, tuple] = {}
 
 
 def table_count(order: int) -> int:
     return order ** (order * order)
+
+
+def _debug(message: str, *args) -> None:
+    # imported on first use, so that CLI commands that never verify do
+    # not load logging (and traceback, string, ...) at start-up
+    import logging
+
+    logging.getLogger("binsys").debug(message, *args)
 
 
 def _require_order(order: int) -> None:
@@ -94,21 +115,62 @@ def all_groupoids(order: int):
     return iter(_ALL_CACHE[order])
 
 
-def random_groupoids(order: int, count: int, seed=None):
-    """``count`` i.i.d. uniform tables; cells drawn row-major."""
-    _require_order(order)
-    rng = random.Random(seed)
+def _randbelow_blocks(rng: random.Random, n: int):
+    """The values of successive ``rng.randrange(n)`` calls, in lists.
+
+    CPython's ``randrange(n)``, for n < 2**32, takes one 32-bit word per
+    try, keeps its top ``n.bit_length()`` bits and tries again while that
+    is >= n.  Each list holds what one ``getrandbits`` call of _BLOCK_WORDS
+    words gives; that call returns the words with the first one in the
+    lowest bits.
+    """
+    shift = 32 - n.bit_length()
+    size = 4 * _BLOCK_WORDS
+    while True:
+        words = array("I", rng.getrandbits(8 * size).to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield [v for w in words if (v := w >> shift) < n]
+
+
+def _random_tables(order: int, count: int, seed=None):
+    """``count`` raw tables whose cells, row-major, are successive
+    ``random.Random(seed).randrange(order)`` values."""
     n = order
-    for _ in range(count):
-        yield Groupoid(
-            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
-        )
+    size = n * n
+    blocks = _randbelow_blocks(random.Random(seed), n)
+    cells = []
+    while count > 0:
+        cells += next(blocks)
+        whole = min(len(cells) // size, count)
+        if whole:
+            rows = zip(*[iter(cells[:whole * size])] * n)
+            yield from zip(*[rows] * n)
+            del cells[:whole * size]
+            count -= whole
+
+
+def random_groupoids(order: int, count: int, seed=None):
+    """``count`` i.i.d. uniform tables; cells drawn row-major, each the
+    next ``random.Random(seed).randrange(order)`` value."""
+    _require_order(order)
+    for t in _random_tables(order, count, seed):
+        yield Groupoid(t)
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where there is none."""
+    try:
+        return get_context("fork")
+    except ValueError:
+        return None
 
 
 def _resolve_workers(workers, weight):
     """Worker count: explicit arg, else BINSYS_THREADS, else CPU count.
 
-    Small jobs (low weight) always run in-process.
+    Small jobs (low weight), and every job where processes cannot be
+    forked, run in-process.
     """
     if workers is None:
         env = os.environ.get("BINSYS_THREADS")
@@ -123,7 +185,7 @@ def _resolve_workers(workers, weight):
             workers = os.cpu_count() or 1
     if workers < 1:
         raise PreconditionError("worker count must be >= 1")
-    if weight < 2048:
+    if weight < 2048 or _fork_context() is None:
         return 1
     return workers
 
@@ -173,7 +235,7 @@ def census(order: int, workers=None) -> CensusReport:
     else:
         all_groupoids(order)  # build the cache before forking
         shards = _shards(total, workers * 4)
-        with get_context("fork").Pool(workers) as pool:
+        with _fork_context().Pool(workers) as pool:
             parts = pool.starmap(
                 _census_range, [(order, a, b) for a, b in shards]
             )
@@ -256,25 +318,30 @@ class ClaimContext:
             return cap
         return min(self.count, cap)
 
+    # The side domains below yield raw tables.
+
     def random_tables(self, count, salt):
-        return random_groupoids(self.order, count, f"{self.seed}:{salt}")
+        return _random_tables(self.order, count, f"{self.seed}:{salt}")
 
     def locally_zero_tables(self):
         """All of them when exhaustive (via graphs), else a seeded sample."""
+        n = self.order
         if self.mode == "exhaustive":
-            for graph in all_graphs(self.order):
-                yield from_graph(graph)
+            graphs = all_graphs(n)
         else:
             rng = self.rng("graphs")
-            pairs = list(itertools.combinations(range(self.order), 2))
-            for _ in range(self.side_count()):
-                edges = [p for p in pairs if rng.random() < 0.5]
-                yield from_graph(SimpleGraph(self.order, frozenset(edges)))
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs = (
+                SimpleGraph(n, frozenset([p for p in pairs if rng.random() < 0.5]))
+                for _ in range(self.side_count())
+            )
+        for graph in graphs:
+            yield _graph_table(n, graph.edges)
 
     def op_tables(self):
         """Tables where every product lands on an operand."""
         if self.mode == "exhaustive":
-            return (g for g in all_groupoids(self.order) if _orientation(g.table))
+            return (g.table for g in all_groupoids(self.order) if _orientation(g.table))
         rng = self.rng("op")
         n = self.order
 
@@ -285,7 +352,7 @@ class ClaimContext:
                     for y in range(n):
                         if x != y and rng.random() < 0.5:
                             table[x][y] = y
-                yield Groupoid(tuple(tuple(r) for r in table))
+                yield tuple(map(tuple, table))
 
         return gen()
 
@@ -333,10 +400,10 @@ def _singleton(cid, statement, check, min_order=1):
 
 
 def _closed(cid, statement, tables, predicate):
-    """A claim that the composite of two tables drawn from ``tables(ctx)``
-    satisfies ``predicate`` (on the raw composite table): every ordered
-    pair when exhaustive, else the first half of the drawn pool against
-    the second."""
+    """A claim that the composite of two raw tables drawn from
+    ``tables(ctx)`` satisfies ``predicate`` (on the raw composite table):
+    every ordered pair when exhaustive, else the first half of the drawn
+    pool against the second."""
 
     def run(ctx):
         pool = list(tables(ctx))
@@ -349,9 +416,9 @@ def _closed(cid, statement, tables, predicate):
         cexs = []
         for a, b in pairs:
             checked += 1
-            if not predicate(_compose(a.table, b.table)):
+            if not predicate(_compose(a, b)):
                 if len(cexs) < MAX_COUNTEREXAMPLES * 2:
-                    cexs.extend([a, b])
+                    cexs.extend([Groupoid(a), Groupoid(b)])
         note = "counterexamples listed as flattened pairs" if cexs else None
         return checked, cexs, note
 
@@ -372,12 +439,9 @@ def _projections(order):
 
 def _unique(method):
     """The method's derived pair reproduces g and is its only in-shape pair."""
-
-    def check(g, z):
-        rep = uniqueness_search(g, method)
-        return rep.solution_count == 1 and rep.derived.reproduces
-
-    return check
+    # a forced method's count is 1 only when its derived pair reproduces g
+    reproduces = {"ua": _ua_holds, "jo": _jo_holds}.get(method, lambda t: True)
+    return _t(lambda t: _solution_count(t, method) == 1 and reproduces(t))
 
 
 def _is_abelian_group(t):
@@ -416,26 +480,26 @@ def _run_associative(ctx):
     cexs = []
 
     def check(f, g, h):
+        # f, g, h are raw tables
         nonlocal checked
         checked += 1
-        ft, gt, ht = f.table, g.table, h.table
-        if _compose(_compose(ft, gt), ht) != _compose(ft, _compose(gt, ht)):
+        if _compose(_compose(f, g), h) != _compose(f, _compose(g, h)):
             if len(cexs) < MAX_COUNTEREXAMPLES * 3:
-                cexs.extend([f, g, h])
+                cexs.extend([Groupoid(f), Groupoid(g), Groupoid(h)])
 
     note = None
-    if ctx.mode == "exhaustive" and ctx.order <= 2:
-        pool = list(all_groupoids(ctx.order))
+    pool = [g.table for g in all_groupoids(ctx.order)] if ctx.mode == "exhaustive" else None
+    if pool and ctx.order <= 2:
         for f in pool:
             for g in pool:
                 for h in pool:
                     check(f, g, h)
-    elif ctx.mode == "exhaustive":
-        pool = list(all_groupoids(ctx.order))
-        rng = ctx.rng("assoc")
+    elif pool:
+        # pool indices as rng.randrange(len(pool)) would draw them
+        picks = itertools.chain.from_iterable(_randbelow_blocks(ctx.rng("assoc"), len(pool)))
         trials = 100_000
         for _ in range(trials):
-            check(*(pool[rng.randrange(len(pool))] for _ in range(3)))
+            check(pool[next(picks)], pool[next(picks)], pool[next(picks)])
         note = f"{trials} random triples (full triple space is too large)"
     else:
         trio = [list(ctx.random_tables(ctx.side_count(), f"assoc{i}")) for i in range(3)]
@@ -450,11 +514,11 @@ def _run_associative(ctx):
 def _run_center_self_inverse(ctx):
     checked = 0
     cexs = []
-    for g in ctx.locally_zero_tables():
+    for t in ctx.locally_zero_tables():
         checked += 1
-        if not _is_identity(_compose(g.table, g.table)):
+        if not _is_identity(_compose(t, t)):
             if len(cexs) < MAX_COUNTEREXAMPLES:
-                cexs.append(g)
+                cexs.append(Groupoid(t))
     return checked, cexs, None
 
 
@@ -743,9 +807,9 @@ _ACTIVE_CTX: ClaimContext | None = None
 
 
 def _run_claim(claim_id):
-    claim = REGISTRY[claim_id]
-    checked, cexs, note = claim.runner(_ACTIVE_CTX)
-    return claim_id, checked, cexs, note
+    start = time.perf_counter()
+    checked, cexs, note = REGISTRY[claim_id].runner(_ACTIVE_CTX)
+    return claim_id, checked, cexs, note, time.perf_counter() - start
 
 
 def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None):
@@ -753,7 +817,9 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     or on a seeded sample.
 
     Returns one ClaimReport per claim, in registry order — or, when
-    ``claims`` lists specific ids, only those, in the given order.
+    ``claims`` lists specific ids, only those, in the given order.  The
+    ``binsys`` logger gets the time taken to build or draw the tables and
+    each claim's checked count and time, at DEBUG.
     """
     global _ACTIVE_CTX
     _require_order(order)
@@ -772,7 +838,9 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
             )
         mode = "exhaustive"
         samples = None
+        start = time.perf_counter()
         all_groupoids(order)  # warm the cache before any fork
+        _debug("order-%d table cache ready in %.3f s", order, time.perf_counter() - start)
     else:
         sample = int(sample)
         if sample < 1:
@@ -780,7 +848,9 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         mode = "sampled"
         if seed is None:
             seed = 0
+        start = time.perf_counter()
         samples = tuple(random_groupoids(order, sample, seed))
+        _debug("drew %d order-%d tables in %.3f s", sample, order, time.perf_counter() - start)
     ctx = ClaimContext(order, mode, count=sample, seed=seed, samples=samples)
     weight = ctx.domain_size() * len(selected)
     workers = _resolve_workers(workers, weight)
@@ -789,13 +859,14 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         if workers == 1 or len(selected) == 1:
             raw = [_run_claim(c.id) for c in selected]
         else:
-            with get_context("fork").Pool(min(workers, len(selected))) as pool:
+            with _fork_context().Pool(min(workers, len(selected))) as pool:
                 raw = pool.map(_run_claim, [c.id for c in selected])
     finally:
         _ACTIVE_CTX = None
     reports = []
-    for claim, (cid, checked, cexs, note) in zip(selected, raw):
+    for claim, (cid, checked, cexs, note, elapsed) in zip(selected, raw):
         assert claim.id == cid
+        _debug("claim %s: %d checked in %.3f s", cid, checked, elapsed)
         reports.append(ClaimReport(
             claim=claim.id,
             statement=claim.statement,

@@ -18,6 +18,7 @@ symmetric pair at a time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from functools import cache
 
@@ -348,21 +349,13 @@ def _assemble(frame, assignments):
     return tuple(tuple(row) for row in table)
 
 
-def _solve_forced(g, derived):
-    # au and oj: every free cell is forced, so the derived pair is the
-    # single in-shape solution; its correctness is a library invariant.
-    if not derived.reproduces:
-        raise InternalError(
-            f"forced {derived.method} factorization failed to reproduce the target"
-        )
-    return 1, [(derived.left.table, derived.right.table)], False
+# The ua and jo solutions keep the derived right factor and vary the left
+# factor on symmetric cell pairs; each choice function lists, per free
+# pair (x, y), the (left(x,y), left(y,x)) values that reproduce t there.
 
-
-def _solve_ua(g, derived):
-    n, t = g.order, g.table
-    right = derived.right.table
-    pair_cells = []
-    choice_lists = []
+def _ua_choices(t):
+    n = len(t)
+    found = []
     for x in range(n):
         for y in range(x + 1, n):
             vxy, vyx = t[x][y], t[y][x]
@@ -371,39 +364,22 @@ def _solve_ua(g, derived):
             else:
                 # both composite cells read the right factor's diagonal
                 choices = [(a, a) for a in range(n) if t[a][a] == vxy]
-            pair_cells.append((x, y))
-            choice_lists.append(choices)
-    count = 1
-    for c in choice_lists:
-        count *= len(c)
-    if count == 0:
-        return 0, [], False
-    base = _signature_frame(g)
-    sols = []
-    for combo in itertools.product(*choice_lists):
-        assignments = []
-        for (x, y), (p, q) in zip(pair_cells, combo):
-            assignments.append(((x, y), p))
-            assignments.append(((y, x), q))
-        sols.append((_assemble(base, assignments), right))
-        if len(sols) >= MATERIALIZE_LIMIT:
-            break
-    return count, sols, count > len(sols)
+            found.append(((x, y), choices))
+    return found
 
 
-def _solve_jo(g, derived):
-    n, t = g.order, g.table
-    right = derived.right.table
+def _jo_choices(t):
+    n = len(t)
     # cells off the anti-diagonal are pinned to the target, so the
-    # composite is already determined there; bail out if it disagrees
+    # composite is already determined there; where it disagrees, that
+    # pinned pair has no choice and the count is 0
     for x in range(n):
         for y in range(n):
             if x == y or x + y == n - 1:
                 continue
             if _orient_cell(n, t[x][y], t[y][x]) != t[x][y]:
-                return 0, [], False
-    pair_cells = []
-    choice_lists = []
+                return [((x, y), [])]
+    found = []
     for i in range(n // 2):
         j = n - 1 - i
         want_ij, want_ji = t[i][j], t[j][i]
@@ -413,37 +389,43 @@ def _solve_jo(g, derived):
             for b in range(n)
             if _orient_cell(n, a, b) == want_ij and _orient_cell(n, b, a) == want_ji
         ]
-        pair_cells.append((i, j))
-        choice_lists.append(choices)
-    mid_assign = []
-    if n % 2 == 1:
-        m = n // 2
-        mid_assign.append(((m, m), t[m][m]))
-    count = 1
-    for c in choice_lists:
-        count *= len(c)
-    if count == 0:
-        return 0, [], False
-    base = _skew_frame(g)
-    sols = []
-    for combo in itertools.product(*choice_lists):
-        assignments = list(mid_assign)
-        for (i, j), (a, b) in zip(pair_cells, combo):
-            assignments.append(((i, j), a))
-            assignments.append(((j, i), b))
-        sols.append((_assemble(base, assignments), right))
-        if len(sols) >= MATERIALIZE_LIMIT:
+        found.append(((i, j), choices))
+    return found
+
+
+_CHOICES = {"ua": _ua_choices, "jo": _jo_choices}
+
+# au and oj: every free cell is forced, so the derived pair is the single
+# in-shape solution; its correctness is a library invariant.
+_FORCED = {"au": _au_holds, "oj": _oj_holds}
+
+
+def _solution_count(t: Table, method: str) -> int:
+    """How many in-shape factor pairs of the method compose to t."""
+    if method in _FORCED:
+        if not _FORCED[method](t):
+            raise InternalError(
+                f"forced {method} factorization failed to reproduce the target"
+            )
+        return 1
+    return math.prod(len(choices) for _, choices in _CHOICES[method](t))
+
+
+def _left_solutions(t, left, method):
+    """The left factors of the first MATERIALIZE_LIMIT solutions: ``left``
+    (the derived one) with each combination of pair choices written in."""
+    if method in _FORCED:
+        return [left]
+    found = _CHOICES[method](t)
+    table = [list(row) for row in left]
+    lefts = []
+    for combo in itertools.product(*(choices for _, choices in found)):
+        for ((x, y), _), (p, q) in zip(found, combo):
+            table[x][y], table[y][x] = p, q
+        lefts.append(tuple(map(tuple, table)))
+        if len(lefts) >= MATERIALIZE_LIMIT:
             break
-    return count, sols, count > len(sols)
-
-
-# each solver takes the target and its derived FactorPair
-_SOLVERS = {
-    "ua": _solve_ua,
-    "au": _solve_forced,
-    "oj": _solve_forced,
-    "jo": _solve_jo,
-}
+    return lefts
 
 
 def uniqueness_search(g: Groupoid, method="ua", exhaustive=False) -> UniquenessReport:
@@ -464,7 +446,10 @@ def uniqueness_search(g: Groupoid, method="ua", exhaustive=False) -> UniquenessR
             )
         count, sols, truncated = _solve_exhaustive(g, m)
     else:
-        count, sols, truncated = _SOLVERS[m.name](g, derived)
+        count = _solution_count(g.table, m.name)
+        lefts = _left_solutions(g.table, derived.left.table, m.name) if count else []
+        sols = [(lt, derived.right.table) for lt in lefts]
+        truncated = count > len(sols)
     sols.sort()
     pairs = tuple(
         (Groupoid(lt, labels=g.labels, zero=g.zero),

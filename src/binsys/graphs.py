@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Groupoid, has_orientation
+from .core import Groupoid, Table, has_orientation
 from .errors import BadShape, NotOP
 
 
@@ -67,17 +67,19 @@ def to_graph(g: Groupoid) -> SimpleGraph:
     return SimpleGraph(n, frozenset(edges))
 
 
+def _graph_table(n: int, edges) -> Table:
+    """The raw table of ``from_graph`` for the given edge pairs."""
+    table = [list(range(n)) for _ in range(n)]
+    for x, y in edges:
+        table[x][y] = x
+        table[y][x] = y
+    return tuple(map(tuple, table))
+
+
 def from_graph(graph: SimpleGraph) -> Groupoid:
     """The locally-zero table encoding a graph (idempotent diagonal,
     edges as left-projection pairs, non-edges as right-projection pairs)."""
-    n = graph.order
-    table = [[y for y in range(n)] for _ in range(n)]
-    for x in range(n):
-        table[x][x] = x
-    for x, y in graph.edges:
-        table[x][y] = x
-        table[y][x] = y
-    return Groupoid(tuple(tuple(row) for row in table))
+    return Groupoid(_graph_table(graph.order, graph.edges))
 
 
 def to_digraph(g: Groupoid) -> Digraph:

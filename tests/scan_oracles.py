@@ -1,10 +1,14 @@
-"""Slow reference searches over every table of an order (order <= 3).
+"""Slow reference paths that the library once ran, kept as oracles.
 
-These are the table scans that ``find_inverse`` and ``binary_equivalent``
-once ran; the tests keep them as oracles for the closed forms.  Both scan
-``all_groupoids`` in its ascending row-major order, so each returns the
-lexicographically first table that satisfies its equations.
+``scan_inverse`` and ``scan_equivalent`` are the table scans (order <= 3)
+behind ``find_inverse`` and ``binary_equivalent`` before their closed
+forms.  Both scan ``all_groupoids`` in its ascending row-major order, so
+each returns the lexicographically first table that satisfies its
+equations.  ``randrange_tables`` is the cell-by-cell generator behind
+``random_groupoids`` before it drew its cells in blocks.
 """
+
+import random
 
 from binsys import all_groupoids, identity, product
 
@@ -24,3 +28,11 @@ def scan_equivalent(a, b):
         if product(w, a) == b and product(w, b) == a:
             return w
     return None
+
+
+def randrange_tables(order, count, seed=None):
+    """``count`` raw tables, each cell one ``rng.randrange(order)``, row-major."""
+    rng = random.Random(seed)
+    n = order
+    for _ in range(count):
+        yield tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))

@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import json
+import logging
+import random
 
 import pytest
 
 import tables
+from scan_oracles import randrange_tables
 from binsys import enumeration
 from binsys import (
     CLAIMS,
@@ -64,6 +68,45 @@ class TestRandomGroupoids:
             assert g.order == 5
 
 
+class TestRandomTablesMatchRandrange:
+    """Cells are drawn a block of RNG words at a time; the tables must be
+    the ones that ``randrange`` gives cell by cell."""
+
+    @staticmethod
+    def first_block_tables(order, seed):
+        # how many whole tables the first block of words holds
+        rng = random.Random(seed)
+        return len(next(enumeration._randbelow_blocks(rng, order))) // (order * order)
+
+    @pytest.mark.parametrize("seed", [0, 7, "3:assoc1"])
+    @pytest.mark.parametrize("order", range(1, 10))
+    def test_across_block_boundaries(self, order, seed):
+        block = self.first_block_tables(order, seed)
+        for count in (-1, 0, 1, block - 1, block, block + 1, 3 * block + 2):
+            expected = list(randrange_tables(order, count, seed))
+            assert list(enumeration._random_tables(order, count, seed)) == expected
+            assert [g.table for g in random_groupoids(order, count, seed)] == expected
+
+    @pytest.mark.parametrize("seed", [1, "x"])
+    def test_order_above_a_byte(self, seed):
+        # one order-256 table takes many blocks; half the words are rejected
+        expected = list(randrange_tables(256, 1, seed))
+        assert list(enumeration._random_tables(256, 1, seed)) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 19683, 2**31, 2**32 - 1])
+    def test_values_below_any_bound(self, n):
+        rng = random.Random(n)
+        expected = [rng.randrange(n) for _ in range(10_000)]
+        values = itertools.chain.from_iterable(
+            enumeration._randbelow_blocks(random.Random(n), n)
+        )
+        assert list(itertools.islice(values, 10_000)) == expected
+
+    def test_lazy(self):
+        first = next(enumeration._random_tables(3, 10**12, seed=0))
+        assert first == next(randrange_tables(3, 1, seed=0))
+
+
 class TestCensus:
     def test_order_two_frozen(self):
         rep = census(2)
@@ -112,6 +155,31 @@ class TestThreadsEnv:
     def test_env_respected(self, monkeypatch):
         monkeypatch.setenv("BINSYS_THREADS", "2")
         assert census(2).counts == tables.CENSUS2
+
+
+class TestWithoutFork:
+    """Where multiprocessing has no ``fork`` start method, every job runs
+    in-process with the same results."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        seen = []
+
+        def no_fork(method):
+            seen.append(method)
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(enumeration, "get_context", no_fork)
+        return seen
+
+    def test_census(self, probes):
+        assert census(3, workers=2).counts == tables.CENSUS3
+        assert probes == ["fork"]
+
+    def test_verify_claims(self, probes):
+        forked = [r.to_dict() for r in verify_claims(4, sample=100, seed=2, workers=2)]
+        assert probes == ["fork"]
+        assert forked == [r.to_dict() for r in verify_claims(4, sample=100, seed=2, workers=1)]
 
 
 class TestRegistry:
@@ -242,11 +310,12 @@ class TestVerifyClaims:
         ]
 
     def test_groupoid_constructions_bounded(self, monkeypatch):
-        # Claims and predicates compare raw tables; a Groupoid is built for
-        # the sampled domains, the public uniqueness_search and recorded
-        # counterexamples.  Measured: 13,072 constructions when every
-        # claim wrapped its derived factors, composites and zeroed copies
-        # in a Groupoid; 3,491 with raw tables.
+        # Claims, predicates, side domains and the uniqueness count read
+        # raw tables; a Groupoid is built for the main sample, a classify
+        # call and recorded counterexamples.  Measured: 13,072
+        # constructions when every claim wrapped its derived factors,
+        # composites and zeroed copies in a Groupoid; 3,491 with raw-table
+        # claims; 201 with raw side domains and uniqueness counts.
         calls = 0
         validate = Groupoid.__post_init__
 
@@ -257,7 +326,25 @@ class TestVerifyClaims:
 
         monkeypatch.setattr(Groupoid, "__post_init__", counting)
         verify_claims(5, sample=200, seed=1, workers=1)
-        assert 0 < calls <= 3491
+        assert 0 < calls <= 201
+
+    def test_debug_log(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        verify_claims(2, claims=["thm-2.4-identity", "prop-5.9-magma"])
+        verify_claims(4, sample=20, seed=1, claims=["thm-2.4-associative"], workers=1)
+        messages = [r.getMessage() for r in caplog.records if r.name == "binsys"]
+        assert len(messages) == 5
+        assert messages[0].startswith("order-2 table cache ready in ")
+        assert messages[1].startswith("claim thm-2.4-identity: 16 checked in ")
+        # the 8 symmetric order-2 tables
+        assert messages[2].startswith("claim prop-5.9-magma: 8 checked in ")
+        assert messages[3].startswith("drew 20 order-4 tables in ")
+        assert messages[4].startswith("claim thm-2.4-associative: 20 checked in ")
+        assert all(m.endswith(" s") for m in messages)
+
+    def test_no_log_by_default(self, caplog):
+        verify_claims(2, claims=["thm-2.4-identity"])
+        assert not [r for r in caplog.records if r.name == "binsys"]
 
 
 class TestCenterAgreementClaim:

@@ -1,11 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
 import tables
 from scan_oracles import scan_equivalent
+from binsys import factorization
+from binsys.enumeration import _unique
+from binsys.factorization import MATERIALIZE_LIMIT, _frame_fills, _solution_count
+from binsys.semigroup import _compose
 from binsys import (
     METHODS,
+    InternalError,
     OrderMismatch,
     OrderTooLarge,
     all_groupoids,
@@ -304,6 +310,57 @@ class TestUniqueness:
         seen = [(left.table, right.table) for left, right in rep.solutions]
         assert seen == sorted(seen)
         assert not rep.truncated
+
+
+def exhaustive_counts(order, method):
+    """``uniqueness_search(g, method, exhaustive=True).solution_count`` for
+    every table g of the order, from one sweep per distinct frame pair."""
+    m = METHODS[method]
+    composites = {}
+    counts = {}
+    for g in all_groupoids(order):
+        frames = (m.left_frame(g), m.right_frame(g))
+        key = repr(frames)
+        if key not in composites:
+            lefts, rights = (list(_frame_fills(f, order)) for f in frames)
+            composites[key] = Counter(_compose(lt, rt) for lt in lefts for rt in rights)
+        counts[g.table] = composites[key][g.table]
+    return counts
+
+
+class TestSolutionCount:
+    """The raw-table count behind uniqueness_search and the claims."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_table(self, order):
+        for method in METHODS:
+            slow = exhaustive_counts(order, method)
+            unique = _unique(method)
+            for g in all_groupoids(order):
+                rep = uniqueness_search(g, method)
+                count = _solution_count(g.table, method)
+                assert count == rep.solution_count == slow[g.table], (g, method)
+                assert unique(g, None) == (count == 1 and rep.derived.reproduces)
+                if order < 3:
+                    exhaustive = uniqueness_search(g, method, exhaustive=True)
+                    assert exhaustive.solution_count == slow[g.table]
+
+    def test_truncated_listing(self):
+        g = groupoid([[0] * 5] * 5)
+        rep = uniqueness_search(g, "ua")
+        # every symmetric pair may take any of the 5 diagonal values
+        assert rep.solution_count == _solution_count(g.table, "ua") == 5**10
+        assert rep.truncated and len(rep.solutions) == MATERIALIZE_LIMIT
+        assert all(product(lt, rt) == g for lt, rt in rep.solutions)
+        assert all(rt == rep.derived.right for _, rt in rep.solutions)
+
+    def test_forced_failure_is_an_invariant_breach(self, monkeypatch):
+        monkeypatch.setitem(factorization._FORCED, "oj", lambda t: False)
+        message = "forced oj factorization failed to reproduce the target"
+        with pytest.raises(InternalError, match=message):
+            _solution_count(((0,),), "oj")
+        with pytest.raises(InternalError, match=message):
+            uniqueness_search(identity(1), "oj")
 
 
 class TestBinaryEquivalent:

@@ -20,8 +20,11 @@ from binsys import (
     skew_factor,
     uniqueness_search,
 )
+from binsys.enumeration import _random_tables
+from binsys.factorization import METHODS, _solution_count
 from binsys.semigroup import _compose
 from reference_kernel import ref_compose
+from scan_oracles import randrange_tables
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -155,6 +158,70 @@ def test_uniqueness_matches_exhaustive(rows):
         slow = uniqueness_search(g, method, exhaustive=True)
         assert fast.solution_count == slow.solution_count
         assert fast.solutions == slow.solutions
+
+
+@st.composite
+def factor_targets(draw, min_order=4, max_order=6):
+    """Tables on which every uniqueness count shows up: uniform cells,
+    cells from {0, 1} (equal symmetric pairs and repeated diagonal values
+    give ua counts far above 1), and operand-valued tables (jo counts 1)."""
+    n = draw(st.integers(min_order, max_order))
+    kind = draw(st.sampled_from(["uniform", "binary", "operand"]))
+    if kind == "operand":
+        return [
+            [x if x == y else draw(st.sampled_from([x, y])) for y in range(n)]
+            for x in range(n)
+        ]
+    top = 1 if kind == "binary" else n - 1
+    return draw(st.lists(
+        st.lists(st.integers(0, top), min_size=n, max_size=n), min_size=n, max_size=n,
+    ))
+
+
+def pairwise_count(g, method):
+    """The ua/jo solution count by brute force on each free cell pair.
+
+    The right factor is forced (the derived one), and the left factor is
+    free on symmetric cell pairs: off the diagonal for ua, on the
+    anti-diagonal for jo.  A composite cell pair reads only its own left
+    cells, so the count is 0 when a pinned cell misses g, else the product
+    over free pairs of the (p, q) value pairs that give g's two cells.
+    """
+    t = g.table
+    n = g.order
+    derived = factorize(g, method)
+    right = derived.right.table
+    if method == "ua":
+        free = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    else:
+        free = [(i, n - 1 - i) for i in range(n // 2)]
+    loose = {c for x, y in free for c in ((x, y), (y, x))}
+    composite = _compose(derived.left.table, right)
+    if any(composite[x][y] != t[x][y]
+           for x in range(n) for y in range(n) if (x, y) not in loose):
+        return 0
+    count = 1
+    for x, y in free:
+        count *= sum(
+            (right[p][q], right[q][p]) == (t[x][y], t[y][x])
+            for p in range(n) for q in range(n)
+        )
+    return count
+
+
+@given(factor_targets())
+def test_solution_count_matches_search(rows):
+    g = groupoid(rows)
+    for method in METHODS:
+        count = _solution_count(g.table, method)
+        assert count == uniqueness_search(g, method).solution_count
+        assert count == (pairwise_count(g, method) if method in ("ua", "jo") else 1)
+
+
+@given(st.integers(1, 8), st.one_of(st.integers(), st.text(max_size=6)), st.integers(-1, 100))
+def test_random_tables_match_randrange(order, seed, count):
+    expected = list(randrange_tables(order, count, seed))
+    assert list(_random_tables(order, count, seed)) == expected
 
 
 @given(tables_any)
