@@ -185,9 +185,14 @@ def _build_parser():
     p.add_argument("file")
     p.set_defaults(fn=_cmd_graph)
 
-    p = sub.add_parser("enumerate", help="list all tables of an order")
+    p = sub.add_parser(
+        "enumerate", help="list all tables of an order (at most 3), or count them by flag"
+    )
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--census", action="store_true")
+    p.add_argument(
+        "--census", action="store_true",
+        help="print exact per-flag counts over all tables as JSON (any order)",
+    )
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="check registered claims")

@@ -1,11 +1,15 @@
-"""Exhaustive and sampled sweeps over all tables of a small order.
+"""Table streams, the census of an order, and claim sweeps.
 
 Three entry points:
 
 * ``all_groupoids`` / ``random_groupoids`` — the table streams, in row-major
   lexicographic order (respectively i.i.d. uniform cells from a seed,
   exactly those of ``randrange`` cell by cell, drawn in blocks).
-* ``census`` — predicate and classification counts over a whole order.
+* ``census`` — exact predicate and classification counts over all tables
+  of an order, at any order.  No table is enumerated: every counted flag
+  is a condition on the diagonal and on each swap orbit {(x, y), (y, x)},
+  so a count is a sum over the diagonals' fixed-point counts of products
+  over the pairs.
 * ``verify_claims`` — run a registry of general statements about tables
   against every table of an order (or a seeded sample at larger orders)
   and report counterexamples.  Claims that are expected to fail stay in
@@ -22,23 +26,24 @@ operand-valued tables) and the uniqueness counts are raw as well; a table
 from them is wrapped in a Groupoid only when it is recorded as a
 counterexample.
 
-Work is split over forked processes when the job is large and the
-platform can fork; ``BINSYS_THREADS`` (else the CPU count) sets the worker
-count, and results are identical for any worker count because shards are
-merged in order.  ``verify_claims`` logs its phase timings to the
-``binsys`` logger at DEBUG.
+``verify_claims`` splits its claims over forked processes when the job
+is large and the platform can fork; ``BINSYS_THREADS`` (else the CPU
+count) sets the worker count, and results are identical for any worker
+count because the reports are merged in order.  ``verify_claims`` logs
+its phase timings, and ``census`` its elapsed time, to the ``binsys``
+logger at DEBUG.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import sys
 import time
 from array import array
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .core import (
     Groupoid,
@@ -160,8 +165,11 @@ def random_groupoids(order: int, count: int, seed=None):
 
 def _fork_context():
     """The ``fork`` multiprocessing context, or None where there is none."""
+    # imported here, so that only a verify_claims run that may fork loads it
+    import multiprocessing
+
     try:
-        return get_context("fork")
+        return multiprocessing.get_context("fork")
     except ValueError:
         return None
 
@@ -209,44 +217,107 @@ class CensusReport:
     counts: dict
 
 
-def _census_range(order, start, stop):
-    counts = [0] * len(CENSUS_KEYS)
-    for g in itertools.islice(all_groupoids(order), start, stop):
-        report = classify(g)
-        # the first keys name predicates, the rest report fields
-        flags = {**report.predicates, **vars(report)}
-        for i, key in enumerate(CENSUS_KEYS):
-            if flags[key]:
-                counts[i] += 1
-    return counts
+# Every census flag is a condition on the diagonal together with conditions
+# on each swap orbit {(x, y), (y, x)}, x < y, read through the values
+# (a, b) = (t[x][y], t[y][x]).  These per-pair conditions are the atoms.
+_STR, _ORI, _TW, _BI, _AB, _SIGP, _SKWP, _UA, _JO = (1 << i for i in range(9))
+
+
+def _pair_atoms(n, x, y, a, b, fixed) -> int:
+    """The atoms that hold on the pair x < y, as a bit mask; ``fixed``
+    holds the elements v with t[v][v] = v."""
+    anti = x + y == n - 1
+    return (
+        _STR * (a != b)
+        # every product lands on an operand (orientation)
+        | _ORI * (a in (x, y) and b in (x, y))
+        # x∘y = x implies y∘x = x, and y∘x = y implies x∘y = y
+        | _TW * ((a != x or b == x) and (b != y or a == y))
+        # symmetric on the anti-diagonal (bi_diagonal)
+        | _BI * (a == b or not anti)
+        | _AB * (a == b)
+        # the pair as in the left projection: the signature factor's cells
+        | _SIGP * (a == x and b == y)
+        # the skew factor's cells as in the left projection
+        | _SKWP * ((b == x and a == y) if anti else (a == x and b == y))
+        # signature ⋄ similar reproduces the pair
+        | _UA * (a != b or a in fixed)
+        # skew ⋄ orient reproduces the pair: a = b, or a + b = n - 1
+        # exactly when the pair is on the anti-diagonal
+        | _JO * (a == b or (a + b == n - 1) == anti)
+    )
+
+
+def _census_terms(n) -> dict:
+    """Each census key as a signed sum of terms (sign, ks, atoms): the
+    number of tables whose diagonal fixes exactly k elements for some k in
+    ks, and on each of whose pairs every atom in the mask holds.
+
+    A table is idempotent (and similar-prime) when its diagonal fixes all n
+    elements.  au and oj reproduce every table; the orient table is the
+    identity only at order 1.  A negated prime takes one subtracted term.
+    """
+    every, idem, other = range(n + 1), (n,), range(n)
+    terms = {
+        "idempotent": [(1, idem, 0)],
+        "strong": [(1, every, _STR)],
+        "locally_zero": [(1, idem, _ORI | _STR)],
+        "orientation": [(1, idem, _ORI)],
+        "twisted_orientation": [(1, every, _TW)],
+        "bi_diagonal": [(1, every, _BI)],
+        "abelian": [(1, every, _AB)],
+        "signature_prime": [(1, every, _SIGP)],
+        "similar_prime": [(1, idem, 0)],
+        "orient_prime": [(1, every, 0)] if n == 1 else [],
+        "skew_prime": [(1, idem, _SKWP)],
+        "ua_holds": [(1, every, _UA)],
+        "au_holds": [(1, every, 0)],
+        "oj_holds": [(1, every, 0)],
+        "jo_holds": [(1, every, _JO)],
+        "ua_composite": [(1, other, _UA), (-1, other, _UA | _SIGP)],
+        "au_composite": [(1, other, 0), (-1, other, _SIGP)],
+        "oj_composite": [(1, every, 0), (-1, idem, _SKWP)] if n > 1 else [],
+        "jo_composite": [(1, every, _JO), (-1, idem, _JO | _SKWP)] if n > 1 else [],
+    }
+    # au and oj always hold
+    terms["u_composite"] = terms["ua_composite"]
+    terms["j_composite"] = terms["jo_composite"]
+    terms["u_normal"] = terms["ua_holds"]
+    terms["j_normal"] = terms["jo_holds"]
+    return terms
 
 
 def census(order: int, workers=None) -> CensusReport:
-    """Count each ``classify`` flag in CENSUS_KEYS over all tables of the order."""
+    """Count each ``classify`` flag in CENSUS_KEYS over all tables of the order.
+
+    Exact at any order, without enumerating the tables: for each k, the
+    C(n,k)·(n-1)^(n-k) diagonals that fix exactly k elements are counted
+    at once, and the tables over them that satisfy a term are a product
+    over pairs of that term's per-pair count.  ``workers`` is accepted for
+    compatibility and has no effect.
+    """
     _require_order(order)
-    if order > EXHAUSTIVE_ORDER_LIMIT:
-        raise OrderTooLarge(
-            f"census supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
-        )
-    total = table_count(order)
-    workers = _resolve_workers(workers, total)
-    if workers == 1:
-        counts = _census_range(order, 0, total)
-    else:
-        all_groupoids(order)  # build the cache before forking
-        shards = _shards(total, workers * 4)
-        with _fork_context().Pool(workers) as pool:
-            parts = pool.starmap(
-                _census_range, [(order, a, b) for a, b in shards]
-            )
-        counts = [sum(col) for col in zip(*parts)]
-    return CensusReport(order, total, dict(zip(CENSUS_KEYS, counts)))
-
-
-def _shards(total, pieces):
-    pieces = max(1, min(pieces, total))
-    step = -(-total // pieces)
-    return [(a, min(a + step, total)) for a in range(0, total, step)]
+    start = time.perf_counter()
+    n = order
+    pairs = list(itertools.combinations(range(n), 2))
+    terms = _census_terms(n)
+    masks = {mask for key_terms in terms.values() for _, _, mask in key_terms}
+    counts = dict.fromkeys(CENSUS_KEYS, 0)
+    for k in range(n + 1):
+        diagonals = math.comb(n, k) * (n - 1) ** (n - k)
+        # UA, the only atom that reads the diagonal, holds on n(n-1) + k
+        # value pairs whichever k elements are fixed, and UA ∧ SIGP on one
+        fixed = range(k)
+        atoms = [[_pair_atoms(n, x, y, a, b, fixed) for a in range(n) for b in range(n)]
+                 for x, y in pairs]
+        tables = {
+            mask: diagonals * math.prod(sum(v & mask == mask for v in pair) for pair in atoms)
+            for mask in masks
+        }
+        for key in CENSUS_KEYS:
+            counts[key] += sum(sign * tables[mask] for sign, ks, mask in terms[key] if k in ks)
+    _debug("order-%d census in %.3f s", order, time.perf_counter() - start)
+    return CensusReport(order, table_count(order), counts)
 
 
 # --- claim registry ---

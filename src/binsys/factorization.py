@@ -379,17 +379,13 @@ def _jo_choices(t):
                 continue
             if _orient_cell(n, t[x][y], t[y][x]) != t[x][y]:
                 return [((x, y), [])]
+    # on an anti-diagonal pair exactly one (a, b) composes to (p, q): the
+    # orient table swaps a pair summing to n - 1 and keeps any other
     found = []
     for i in range(n // 2):
         j = n - 1 - i
-        want_ij, want_ji = t[i][j], t[j][i]
-        choices = [
-            (a, b)
-            for a in range(n)
-            for b in range(n)
-            if _orient_cell(n, a, b) == want_ij and _orient_cell(n, b, a) == want_ji
-        ]
-        found.append(((i, j), choices))
+        p, q = t[i][j], t[j][i]
+        found.append(((i, j), [(q, p) if p + q == n - 1 else (p, q)]))
     return found
 
 

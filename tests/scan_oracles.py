@@ -5,12 +5,15 @@ behind ``find_inverse`` and ``binary_equivalent`` before their closed
 forms.  Both scan ``all_groupoids`` in its ascending row-major order, so
 each returns the lexicographically first table that satisfies its
 equations.  ``randrange_tables`` is the cell-by-cell generator behind
-``random_groupoids`` before it drew its cells in blocks.
+``random_groupoids`` before it drew its cells in blocks.  ``sweep_census``
+is ``census`` before its counts were taken by swap-orbit decomposition:
+it classifies every table of the order (order <= 3).
 """
 
 import random
 
-from binsys import all_groupoids, identity, product
+from binsys import all_groupoids, classify, identity, product
+from binsys.enumeration import CENSUS_KEYS
 
 
 def scan_inverse(g):
@@ -36,3 +39,15 @@ def randrange_tables(order, count, seed=None):
     n = order
     for _ in range(count):
         yield tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+
+
+def sweep_census(order):
+    """The census counts of an order, by classifying each of its tables."""
+    counts = dict.fromkeys(CENSUS_KEYS, 0)
+    for g in all_groupoids(order):
+        report = classify(g)
+        # the first keys name predicates, the rest report fields
+        flags = {**report.predicates, **vars(report)}
+        for key in CENSUS_KEYS:
+            counts[key] += flags[key]
+    return counts

@@ -140,6 +140,15 @@ class TestEnumerate:
         assert code == 2
         assert "error:" in err
 
+    def test_census_above_listing_cap(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--order", "4", "--census")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total"] == 4_294_967_296
+        assert doc["counts"]["strong"] == 764_411_904
+        assert doc["counts"]["abelian"] == 1_048_576
+        assert doc["counts"]["locally_zero"] == 64
+
     @pytest.mark.parametrize("order", ["0", "-1"])
     @pytest.mark.parametrize("extra", [[], ["--census"]])
     def test_order_below_one(self, capsys, order, extra):
@@ -237,6 +246,18 @@ def test_module_entry_point(data_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["classification"]["signature_prime"] is True
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a verify_claims run that may fork imports it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, binsys.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_help():

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import json
 import logging
+import math
+import multiprocessing
 import random
 
 import pytest
 
 import tables
-from scan_oracles import randrange_tables
+from scan_oracles import randrange_tables, sweep_census
 from binsys import enumeration
 from binsys import (
     CLAIMS,
@@ -124,9 +126,34 @@ class TestCensus:
         assert rep.counts["locally_zero"] == 1
         assert rep.counts["u_composite"] == 0
 
-    def test_order_cap(self):
-        with pytest.raises(OrderTooLarge):
-            census(4)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_sweep(self, order):
+        counts = census(order).counts
+        assert list(counts) == list(enumeration.CENSUS_KEYS)
+        assert counts == sweep_census(order)
+
+    def test_order_four_exact(self):
+        rep = census(4)
+        assert rep.total == 4_294_967_296
+        assert rep.counts["strong"] == 764_411_904
+        assert rep.counts["abelian"] == 1_048_576
+        assert rep.counts["locally_zero"] == 64
+        assert rep.counts["ua_holds"] == 1_323_219_736
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_forms(self, n):
+        rep = census(n)
+        pairs = math.comb(n, 2)
+        assert all(type(c) is int for c in rep.counts.values())
+        assert rep.total == table_count(n)
+        assert rep.counts["strong"] == n**n * (n * (n - 1)) ** pairs
+        assert rep.counts["abelian"] == n ** (n * (n + 1) // 2)
+        # a diagonal with k fixed points leaves n(n-1) + k ua values per pair
+        assert rep.counts["ua_holds"] == sum(
+            math.comb(n, k) * (n - 1) ** (n - k) * (n * (n - 1) + k) ** pairs
+            for k in range(n + 1)
+        )
+        assert rep.counts["au_holds"] == rep.counts["oj_holds"] == rep.total
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one(self, order):
@@ -137,24 +164,37 @@ class TestCensus:
         assert census(2, workers=3).counts == tables.CENSUS2
 
     def test_forced_parallel_census(self):
-        # weight is high enough at order 3 for the pool to engage
+        # census takes workers= for existing callers; it has no effect
         assert census(3, workers=2).counts == tables.CENSUS3
+
+    def test_debug_log(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        census(3)
+        messages = [r.getMessage() for r in caplog.records if r.name == "binsys"]
+        assert len(messages) == 1
+        assert messages[0].startswith("order-3 census in ")
+        assert messages[0].endswith(" s")
+
+    def test_no_log_by_default(self, caplog):
+        census(3)
+        assert not [r for r in caplog.records if r.name == "binsys"]
 
 
 class TestThreadsEnv:
     def test_invalid_env_value(self, monkeypatch):
         monkeypatch.setenv("BINSYS_THREADS", "many")
         with pytest.raises(PreconditionError):
-            census(3)
+            verify_claims(2)
 
     def test_zero_env_value(self, monkeypatch):
         monkeypatch.setenv("BINSYS_THREADS", "0")
         with pytest.raises(PreconditionError):
-            census(3)
+            verify_claims(2)
 
     def test_env_respected(self, monkeypatch):
         monkeypatch.setenv("BINSYS_THREADS", "2")
-        assert census(2).counts == tables.CENSUS2
+        text = json.dumps([r.to_dict() for r in verify_claims(2)])
+        assert hashlib.sha256(text.encode()).hexdigest() == tables.VERIFY_DIGESTS[2]
 
 
 class TestWithoutFork:
@@ -169,12 +209,13 @@ class TestWithoutFork:
             seen.append(method)
             raise ValueError(f"cannot find context for {method!r}")
 
-        monkeypatch.setattr(enumeration, "get_context", no_fork)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         return seen
 
     def test_census(self, probes):
+        # the census forks nothing, so it does not probe
         assert census(3, workers=2).counts == tables.CENSUS3
-        assert probes == ["fork"]
+        assert probes == []
 
     def test_verify_claims(self, probes):
         forked = [r.to_dict() for r in verify_claims(4, sample=100, seed=2, workers=2)]

@@ -1,8 +1,11 @@
 """Property-based checks over randomly drawn tables."""
 
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from binsys import (
+    classify,
     factorize,
     find_inverse,
     groupoid,
@@ -20,7 +23,7 @@ from binsys import (
     skew_factor,
     uniqueness_search,
 )
-from binsys.enumeration import _random_tables
+from binsys.enumeration import CENSUS_KEYS, _census_terms, _pair_atoms, _random_tables
 from binsys.factorization import METHODS, _solution_count
 from binsys.semigroup import _compose
 from reference_kernel import ref_compose
@@ -259,3 +262,58 @@ def test_product_is_closed_and_deterministic(rows, flip):
     out = product(g, h)
     assert out.order == g.order
     assert product(g, h) == out
+
+
+# Value pairs (t[x][y], t[y][x]) for a swap orbit x < y of an order-n
+# table, from two free values c and e, in the shapes the census atoms test.
+ORBIT_SHAPES = (
+    lambda n, x, y, c, e: (x, y),
+    lambda n, x, y, c, e: (y, x),
+    lambda n, x, y, c, e: (x, x),
+    lambda n, x, y, c, e: (y, y),
+    lambda n, x, y, c, e: (c, c),
+    lambda n, x, y, c, e: (c, n - 1 - c),
+    lambda n, x, y, c, e: (y, x) if x + y == n - 1 else (x, y),
+    lambda n, x, y, c, e: (c, e),
+)
+
+
+@st.composite
+def orbit_tables(draw, min_order=4, max_order=8):
+    """A table built orbit by orbit from one or two shapes chosen for the
+    whole table, over an idempotent or a drawn diagonal, so that an atom
+    holds on every pair (and each census flag is true) often."""
+    n = draw(st.integers(min_order, max_order))
+    cell = st.integers(0, n - 1)
+    idempotent = draw(st.booleans())
+    rows = [[None] * n for _ in range(n)]
+    for x in range(n):
+        rows[x][x] = x if idempotent else draw(cell)
+    shapes = draw(st.lists(st.sampled_from(ORBIT_SHAPES), min_size=1, max_size=2))
+    for x, y in combinations(range(n), 2):
+        shape = draw(st.sampled_from(shapes))
+        rows[x][y], rows[y][x] = shape(n, x, y, draw(cell), draw(cell))
+    return rows
+
+
+def census_formulas(t):
+    """Each census key's formula, as the census counts it, on one table:
+    its signed terms whose diagonal and per-pair atoms t satisfies."""
+    n = len(t)
+    fixed = {v for v in range(n) if t[v][v] == v}
+    atoms = [_pair_atoms(n, x, y, t[x][y], t[y][x], fixed)
+             for x, y in combinations(range(n), 2)]
+    return {
+        key: sum(sign for sign, ks, mask in terms
+                 if len(fixed) in ks and all(a & mask == mask for a in atoms))
+        for key, terms in _census_terms(n).items()
+    }
+
+
+@settings(max_examples=300)
+@given(orbit_tables())
+def test_census_formulas_match_classify(rows):
+    g = groupoid(rows)
+    report = classify(g)
+    flags = {**report.predicates, **vars(report)}
+    assert census_formulas(g.table) == {key: int(flags[key]) for key in CENSUS_KEYS}
