@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 
 from .core import Groupoid, Table, _left_zero_table, _semi_neutral_table, predicate_vector
-from .errors import EXHAUSTIVE_ORDER_LIMIT, InternalError, OrderMismatch, OrderTooLarge
+from .errors import InternalError, OrderMismatch
 from .semigroup import _compose, _pair_map, _same_order, is_identity, product
 
 # uniqueness_search reports exact counts but materializes at most this
@@ -34,12 +34,12 @@ MATERIALIZE_LIMIT = 4096
 # --- the four derived factors, on raw tables ---
 
 def _signature(t: Table) -> Table:
-    return tuple(row[:x] + (x,) + row[x + 1:] for x, row in enumerate(t))
+    return tuple([row[:x] + (x,) + row[x + 1:] for x, row in enumerate(t)])
 
 
 def _similar(t: Table) -> Table:
     n = len(t)
-    return tuple((x,) * x + (row[x],) + (x,) * (n - 1 - x) for x, row in enumerate(t))
+    return tuple([(x,) * x + (row[x],) + (x,) * (n - 1 - x) for x, row in enumerate(t)])
 
 
 @cache
@@ -56,10 +56,10 @@ def _orient(t: Table) -> Table:
 
 def _skew(t: Table) -> Table:
     n = len(t)
-    return tuple(
+    return tuple([
         row[:n - 1 - x] + (t[n - 1 - x][x],) + row[n - x:]
         for x, row in enumerate(t)
-    )
+    ])
 
 
 # --- the four derived factors ---
@@ -93,39 +93,6 @@ def _orient_cell(n: int, a: int, b: int) -> int:
 
 # --- method registry ---
 
-def _frame_free(n):
-    return [[None] * n for _ in range(n)]
-
-
-def _signature_frame(g):
-    # identity diagonal fixed, off-diagonal free
-    frame = _frame_free(g.order)
-    for x in range(g.order):
-        frame[x][x] = x
-    return frame
-
-
-def _similar_frame(g):
-    # diagonal free, off-diagonal pinned to left projection
-    n = g.order
-    frame = [[x if x != y else None for y in range(n)] for x in range(n)]
-    return frame
-
-
-def _orient_frame(g):
-    # fully pinned: this factor family is a single table per order
-    return [list(row) for row in _orient(g.table)]
-
-
-def _skew_frame(g):
-    # anti-diagonal free, all other cells pinned to the target
-    n = g.order
-    frame = [list(row) for row in g.table]
-    for i in range(n):
-        frame[i][n - 1 - i] = None
-    return frame
-
-
 @dataclass(frozen=True)
 class FactorizationMethod:
     name: str
@@ -133,8 +100,6 @@ class FactorizationMethod:
     description: str
     derive_left: callable
     derive_right: callable
-    left_frame: callable
-    right_frame: callable
 
     def derive(self, g: Groupoid) -> tuple[Groupoid, Groupoid]:
         return self.derive_left(g), self.derive_right(g)
@@ -144,22 +109,22 @@ METHODS = {
     "ua": FactorizationMethod(
         "ua", "diagonal-substitution",
         "signature factor times similar factor",
-        signature_factor, similar_factor, _signature_frame, _similar_frame,
+        signature_factor, similar_factor,
     ),
     "au": FactorizationMethod(
         "au", "diagonal-substitution",
         "similar factor times signature factor",
-        similar_factor, signature_factor, _similar_frame, _signature_frame,
+        similar_factor, signature_factor,
     ),
     "oj": FactorizationMethod(
         "oj", "anti-diagonal-transform",
         "orient factor times skew factor",
-        orient_factor, skew_factor, _orient_frame, _skew_frame,
+        orient_factor, skew_factor,
     ),
     "jo": FactorizationMethod(
         "jo", "anti-diagonal-transform",
         "skew factor times orient factor",
-        skew_factor, orient_factor, _skew_frame, _orient_frame,
+        skew_factor, orient_factor,
     ),
 }
 
@@ -342,13 +307,6 @@ class UniquenessReport:
     truncated: bool
 
 
-def _assemble(frame, assignments):
-    table = [list(row) for row in frame]
-    for (x, y), v in assignments:
-        table[x][y] = v
-    return tuple(tuple(row) for row in table)
-
-
 # The ua and jo solutions keep the derived right factor and vary the left
 # factor on symmetric cell pairs; each choice function lists, per free
 # pair (x, y), the (left(x,y), left(y,x)) values that reproduce t there.
@@ -424,29 +382,19 @@ def _left_solutions(t, left, method):
     return lefts
 
 
-def uniqueness_search(g: Groupoid, method="ua", exhaustive=False) -> UniquenessReport:
+def uniqueness_search(g: Groupoid, method="ua") -> UniquenessReport:
     """Count every in-shape factor pair whose composite is exactly g.
 
-    The default path counts analytically, one cell pair at a time, and is
-    exact at any order; ``exhaustive=True`` instead enumerates every fill
-    of both shape frames (order <= EXHAUSTIVE_ORDER_LIMIT) as a slow
-    cross-check.  When more than MATERIALIZE_LIMIT solutions exist only
-    the count is exact and the listing is truncated.
+    The count is analytic, one cell pair at a time, and exact at any
+    order.  When more than MATERIALIZE_LIMIT solutions exist only the
+    count is exact and the listing is truncated.
     """
     m = _method(method)
     derived = factorize(g, m)
-    if exhaustive:
-        if g.order > EXHAUSTIVE_ORDER_LIMIT:
-            raise OrderTooLarge(
-                f"exhaustive shape search supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
-            )
-        count, sols, truncated = _solve_exhaustive(g, m)
-    else:
-        count = _solution_count(g.table, m.name)
-        lefts = _left_solutions(g.table, derived.left.table, m.name) if count else []
-        sols = [(lt, derived.right.table) for lt in lefts]
-        truncated = count > len(sols)
-    sols.sort()
+    count = _solution_count(g.table, m.name)
+    lefts = _left_solutions(g.table, derived.left.table, m.name) if count else []
+    sols = sorted((lt, derived.right.table) for lt in lefts)
+    truncated = count > len(sols)
     pairs = tuple(
         (Groupoid(lt, labels=g.labels, zero=g.zero),
          Groupoid(rt, labels=g.labels, zero=g.zero))
@@ -464,25 +412,6 @@ def uniqueness_search(g: Groupoid, method="ua", exhaustive=False) -> UniquenessR
         other_solutions=others,
         truncated=truncated,
     )
-
-
-def _frame_fills(frame, n):
-    free = [(x, y) for x, row in enumerate(frame) for y, v in enumerate(row) if v is None]
-    for combo in itertools.product(range(n), repeat=len(free)):
-        yield _assemble(frame, list(zip(free, combo)))
-
-
-def _solve_exhaustive(g, m):
-    n = g.order
-    lframe, rframe = m.left_frame(g), m.right_frame(g)
-    rights = list(_frame_fills(rframe, n))
-    sols = [
-        (lt, rt)
-        for lt in _frame_fills(lframe, n)
-        for rt in rights
-        if _compose(lt, rt) == g.table
-    ]
-    return len(sols), sols, False
 
 
 def binary_equivalent(a: Groupoid, b: Groupoid, witness: Groupoid | None = None):

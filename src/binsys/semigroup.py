@@ -5,11 +5,15 @@ cross readings of g:
 
     (g ⋄ h)(x, y) = h(g(x, y), g(y, x))
 
-The left projection table (x∘y = x) is a two-sided identity for ⋄, and
-both projection tables commute with everything.  The classical claim that
-the locally-zero tables are exactly the central ones does not hold: at
-orders <= 3 only the two projections survive the exhaustive scan for
-elements commuting with everything (see ``in_center``).
+The left projection table (x∘y = x) is a two-sided identity for ⋄.  Read
+through its pair map φ_g (see ``_pair_map``), a table is a self-map of the
+n*n cells that commutes with the swap (x, y) -> (y, x), and
+φ_{g⋄h} = φ_h ∘ φ_g: the monoid is anti-isomorphic to the maps of a set
+with n fixed points (the diagonal) and C(n, 2) free swap orbits.  Its
+center is therefore known in closed form: for n >= 2 exactly the two
+projection tables (the identity and the swap), and the single table at
+n = 1.  The classical claim that the locally-zero tables are exactly the
+central ones does not hold from order 3 up (see ``in_center``).
 
 One kernel computes ⋄: ``_compose`` works on raw tables (tuples of tuple
 rows) and reads row x of g against column x of g, so cell (x, y) is
@@ -21,16 +25,25 @@ raw tables directly and build no Groupoid for intermediate results;
 
 from __future__ import annotations
 
-from .core import Groupoid, Table, _left_zero_table, is_locally_zero, left_zero
+from itertools import chain
+
+from .core import (
+    Groupoid,
+    Table,
+    _left_zero_table,
+    _right_zero_table,
+    is_locally_zero,
+    left_zero,
+)
 from .errors import OrderMismatch
 
 
 def _compose(gt: Table, ht: Table) -> Table:
     """The table of g ⋄ h from the tables of g and h (same order)."""
-    return tuple(
-        tuple([ht[a][b] for a, b in zip(row, col)])
-        for row, col in zip(gt, zip(*gt))
-    )
+    # one flat pass: g row-major against g column-major (its transpose),
+    # then the cells regrouped into rows of n
+    cells = [ht[a][b] for a, b in zip(chain.from_iterable(gt), chain.from_iterable(zip(*gt)))]
+    return tuple(zip(*[iter(cells)] * len(gt)))
 
 
 def _same_order(g: Groupoid, h: Groupoid) -> None:
@@ -71,22 +84,25 @@ def is_identity(g: Groupoid) -> bool:
 def in_center(g: Groupoid, method: str = "fast") -> bool:
     """Does g commute with every table of its order?
 
+    "exact" answers in closed form at any order: g is central exactly when
+    it is one of the two projection tables (at order 1 they coincide).
+    Commuting with the constant tables forces g(x, x) = x, and commuting
+    with the tables that carry one swap orbit onto another (every other
+    cell sent to one element) forces g to act on every orbit alike, as
+    the identity or as the swap.
+
     "fast" decides via the locally-zero predicate, the classical
-    characterization of the commuting tables; "exhaustive" actually scans
-    all tables of the same order (``all_groupoids`` refuses orders above
-    EXHAUSTIVE_ORDER_LIMIT).  The two disagree from order 3 up: a locally
-    zero table with one left-zero pair and one right-zero pair fails to
-    commute with everything, so the exhaustive scan admits only the two
-    projections.  The verification registry tracks the gap as the
-    expected-fail claim "center-agreement".
+    characterization of the commuting tables.  The two disagree from
+    order 3 up: a locally-zero table with one left-zero pair and one
+    right-zero pair fails to commute with everything.  The verification
+    registry tracks the gap as the expected-fail claim "center-agreement".
     """
     if method == "fast":
         return is_locally_zero(g)
-    if method != "exhaustive":
-        raise ValueError(f"method must be 'fast' or 'exhaustive', not {method!r}")
-    from .enumeration import all_groupoids
-
-    return all(commutes(g, h) for h in all_groupoids(g.order))
+    if method != "exact":
+        raise ValueError(f"method must be 'fast' or 'exact', not {method!r}")
+    n = g.order
+    return g.table in (_left_zero_table(n), _right_zero_table(n))
 
 
 def _pair_map(g: Groupoid) -> list[int]:

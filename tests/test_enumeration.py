@@ -5,12 +5,14 @@ import logging
 import math
 import multiprocessing
 import random
+import subprocess
+import sys
 
 import pytest
 
 import tables
 from scan_oracles import randrange_tables, sweep_census
-from binsys import enumeration
+from binsys import enumeration, semigroup
 from binsys import (
     CLAIMS,
     Groupoid,
@@ -388,6 +390,20 @@ class TestVerifyClaims:
         assert not [r for r in caplog.records if r.name == "binsys"]
 
 
+def test_logging_left_unloaded():
+    # no handler can show a record before logging is imported, so the
+    # census and the verifier skip their DEBUG lines rather than load it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from binsys import census, verify_claims; "
+         "census(3); verify_claims(1); print('logging' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestCenterAgreementClaim:
     def test_passes_below_order_three(self):
         reports = {r.claim: r for r in verify_claims(2)}
@@ -399,3 +415,28 @@ class TestCenterAgreementClaim:
         assert rep.expected == "fail"
         mixed = groupoid(tables.MIXED3)
         assert any(ce == mixed for ce in rep.counterexamples)
+
+    def test_runs_no_product(self, monkeypatch):
+        # centrality is decided in closed form; a commuting scan would
+        # call the ⋄ kernel up to 2 * 19,683 times per table
+        calls = 0
+        compose = semigroup._compose
+
+        def counting(gt, ht):
+            nonlocal calls
+            calls += 1
+            return compose(gt, ht)
+
+        monkeypatch.setattr(semigroup, "_compose", counting)
+        monkeypatch.setattr(enumeration, "_compose", counting)
+        rep = verify_claims(3, claims=["center-agreement"], workers=1)[0]
+        assert rep.checked == 19683
+        assert calls == 0
+
+    def test_sampled_orders_keep_their_report(self):
+        rep = verify_claims(5, sample=10, seed=1, claims=["center-agreement"])[0]
+        assert (rep.checked, rep.counterexamples) == (0, ())
+        assert rep.note == "exhaustive center scan is defined only up to order 3"
+        assert rep.statement == (
+            "the fast centrality test agrees with the exhaustive commuting scan"
+        )

@@ -4,10 +4,10 @@ from collections import Counter
 import pytest
 
 import tables
-from scan_oracles import scan_equivalent
+from scan_oracles import FRAMES, frame_fills, scan_equivalent, scan_factor_pairs
 from binsys import factorization
 from binsys.enumeration import _unique
-from binsys.factorization import MATERIALIZE_LIMIT, _frame_fills, _solution_count
+from binsys.factorization import MATERIALIZE_LIMIT, _solution_count
 from binsys.semigroup import _compose
 from binsys import (
     METHODS,
@@ -291,19 +291,24 @@ class TestUniqueness:
         rep = uniqueness_search(g, "jo")
         assert rep.solution_count == 0
         assert not rep.derived.reproduces
-        assert uniqueness_search(g, "jo", exhaustive=True).solution_count == 0
+        assert scan_factor_pairs(g, "jo") == []
 
     def test_factored_matches_exhaustive_at_order_two(self):
         for g in all_groupoids(2):
             for method in METHODS:
                 fast = uniqueness_search(g, method)
-                slow = uniqueness_search(g, method, exhaustive=True)
-                assert fast.solution_count == slow.solution_count
-                assert fast.solutions == slow.solutions
+                assert not fast.truncated
+                slow = scan_factor_pairs(g, method)
+                assert fast.solution_count == len(slow)
+                assert [(lt.table, rt.table) for lt, rt in fast.solutions] == slow
 
     def test_exhaustive_order_cap(self):
         with pytest.raises(OrderTooLarge):
-            uniqueness_search(groupoid(tables.OP4), "jo", exhaustive=True)
+            scan_factor_pairs(groupoid(tables.OP4), "jo")
+
+    def test_exhaustive_keyword_removed(self):
+        with pytest.raises(TypeError):
+            uniqueness_search(groupoid(tables.CYC3), "jo", exhaustive=True)
 
     def test_solutions_are_sorted(self):
         rep = uniqueness_search(groupoid([[0, 0], [0, 0]]), "ua")
@@ -313,16 +318,15 @@ class TestUniqueness:
 
 
 def exhaustive_counts(order, method):
-    """``uniqueness_search(g, method, exhaustive=True).solution_count`` for
-    every table g of the order, from one sweep per distinct frame pair."""
-    m = METHODS[method]
+    """``len(scan_factor_pairs(g, method))`` for every table g of the
+    order, from one sweep per distinct frame pair."""
     composites = {}
     counts = {}
     for g in all_groupoids(order):
-        frames = (m.left_frame(g), m.right_frame(g))
+        frames = tuple(frame(g) for frame in FRAMES[method])
         key = repr(frames)
         if key not in composites:
-            lefts, rights = (list(_frame_fills(f, order)) for f in frames)
+            lefts, rights = (list(frame_fills(f, order)) for f in frames)
             composites[key] = Counter(_compose(lt, rt) for lt in lefts for rt in rights)
         counts[g.table] = composites[key][g.table]
     return counts
@@ -342,8 +346,7 @@ class TestSolutionCount:
                 assert count == rep.solution_count == slow[g.table], (g, method)
                 assert unique(g, None) == (count == 1 and rep.derived.reproduces)
                 if order < 3:
-                    exhaustive = uniqueness_search(g, method, exhaustive=True)
-                    assert exhaustive.solution_count == slow[g.table]
+                    assert len(scan_factor_pairs(g, method)) == slow[g.table]
 
     def test_truncated_listing(self):
         g = groupoid([[0] * 5] * 5)

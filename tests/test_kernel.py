@@ -23,6 +23,7 @@ from binsys import (
     ua_holds,
 )
 from binsys import core
+from binsys.factorization import _signature, _similar, _skew
 from binsys.semigroup import _compose
 from reference_kernel import (
     REF_PREDICATES,
@@ -32,6 +33,9 @@ from reference_kernel import (
     ref_is_identity,
     ref_is_strong,
     ref_predicate_vector,
+    ref_signature,
+    ref_similar,
+    ref_skew,
     ref_validate,
 )
 
@@ -74,6 +78,30 @@ class TestComposeMatchesReference:
         for _ in range(2000):
             gt, ht = rng.choice(pool), rng.choice(pool)
             assert _compose(gt, ht) == ref_compose(gt, ht)
+
+
+class TestKernelsFrozen:
+    """The raw kernels return what ``Groupoid`` takes without copying (tuple
+    rows of exact ints) and agree with the reference paths at orders 1-8."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_orders_one_to_eight(self, data):
+        n = data.draw(st.integers(1, 8))
+        cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+        gt, ht = (
+            tuple(tuple(flat[x * n:(x + 1) * n]) for x in range(n))
+            for flat in (data.draw(cells), data.draw(cells))
+        )
+        composed = _compose(gt, ht)
+        assert core._is_frozen(composed)
+        assert composed == ref_compose(gt, ht)
+        g = Groupoid(gt)
+        for kernel, ref in ((_signature, ref_signature), (_similar, ref_similar),
+                            (_skew, ref_skew)):
+            derived = kernel(gt)
+            assert core._is_frozen(derived), kernel.__name__
+            assert derived == ref(g).table, kernel.__name__
 
 
 class TestFlagsMatchReference:

@@ -5,18 +5,22 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from binsys import (
+    all_groupoids,
     classify,
     factorize,
     find_inverse,
     groupoid,
     identity,
+    in_center,
     is_bi_diagonal,
     is_locally_zero,
     is_strong,
+    left_zero,
     has_orientation,
     orient_factor,
     parse_groupoid,
     product,
+    right_zero,
     serialize_groupoid,
     signature_factor,
     similar_factor,
@@ -27,7 +31,7 @@ from binsys.enumeration import CENSUS_KEYS, _census_terms, _pair_atoms, _random_
 from binsys.factorization import METHODS, _solution_count
 from binsys.semigroup import _compose
 from reference_kernel import ref_compose
-from scan_oracles import randrange_tables
+from scan_oracles import randrange_tables, scan_factor_pairs
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -158,9 +162,9 @@ def test_uniqueness_matches_exhaustive(rows):
     g = groupoid(rows)
     for method in ("ua", "au", "oj", "jo"):
         fast = uniqueness_search(g, method)
-        slow = uniqueness_search(g, method, exhaustive=True)
-        assert fast.solution_count == slow.solution_count
-        assert fast.solutions == slow.solutions
+        slow = scan_factor_pairs(g, method)
+        assert fast.solution_count == len(slow)
+        assert [(lt.table, rt.table) for lt, rt in fast.solutions] == slow
 
 
 @st.composite
@@ -317,3 +321,51 @@ def test_census_formulas_match_classify(rows):
     report = classify(g)
     flags = {**report.predicates, **vars(report)}
     assert census_formulas(g.table) == {key: int(flags[key]) for key in CENSUS_KEYS}
+
+
+def center_witnesses(n):
+    """O(n²) tables that, for n >= 2, split every table but the two
+    projections from the center of ⋄: the constant tables (commuting with
+    the constant k forces g(k, k) = k) and the single-orbit movers, which
+    carry the swap orbit {(0, 1), (1, 0)} onto one orbit {(a, b), (b, a)}
+    and every other cell to one element (commuting with them forces g to
+    act as the identity or as the swap on every orbit alike)."""
+    for k in range(n):
+        yield tuple((k,) * n for _ in range(n))
+    for a, b, k in [*((a, b, 0) for a, b in combinations(range(n), 2)), (0, 1, 1)]:
+        rows = [[k] * n for _ in range(n)]
+        rows[0][1], rows[1][0] = a, b
+        yield tuple(map(tuple, rows))
+
+
+def separated_from_center(t):
+    return any(_compose(t, w) != _compose(w, t) for w in center_witnesses(len(t)))
+
+
+@st.composite
+def near_projections(draw, min_order=4, max_order=6):
+    """A projection table with one or two cells redrawn."""
+    n = draw(st.integers(min_order, max_order))
+    right = draw(st.booleans())
+    rows = [[y if right else x for y in range(n)] for x in range(n)]
+    for _ in range(draw(st.integers(1, 2))):
+        x, y, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        rows[x][y] = v
+    return rows
+
+
+def test_center_witnesses_split_every_table_to_order_three():
+    for order in (2, 3):
+        for g in all_groupoids(order):
+            assert separated_from_center(g.table) == (not in_center(g, "exact"))
+
+
+@settings(max_examples=300)
+@given(orbit_tables(max_order=6) | near_projections() | table_strategy(4, 6))
+def test_exact_center_matches_witnesses(rows):
+    # orbit tables reach the projections and the locally-zero mixtures of
+    # left- and right-zero pairs that "fast" wrongly admits
+    g = groupoid(rows)
+    projection = g.table in (left_zero(g.order).table, right_zero(g.order).table)
+    assert in_center(g, "exact") == projection
+    assert separated_from_center(g.table) == (not projection)

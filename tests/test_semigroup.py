@@ -3,7 +3,7 @@ import random
 import pytest
 
 import tables
-from scan_oracles import scan_inverse
+from scan_oracles import scan_center, scan_inverse
 from binsys import (
     OrderMismatch,
     OrderTooLarge,
@@ -104,29 +104,57 @@ class TestCenter:
 
     def test_exhaustive_rejects_constant(self):
         const0 = groupoid([[0, 0], [0, 0]])
-        assert not in_center(const0, method="exhaustive")
+        assert not scan_center(const0)
+        assert not in_center(const0, method="exact")
 
     def test_modes_agree_at_order_two(self):
         for g in all_groupoids(2):
-            assert in_center(g, "fast") == in_center(g, "exhaustive")
+            assert in_center(g, "fast") == in_center(g, "exact") == scan_center(g)
 
     def test_modes_diverge_at_order_three(self):
         # A locally-zero table mixing a right-zero pair with left-zero
         # pairs is not central; the fast path follows the classical
-        # characterization, the exhaustive scan reports the truth.
+        # characterization, the exact test and the scan report the truth.
         g = groupoid(tables.MIXED3)
         assert in_center(g, "fast")
-        assert not in_center(g, "exhaustive")
+        assert not in_center(g, "exact")
+        assert not scan_center(g)
         w = groupoid(tables.MIXED3_WITNESS)
         assert product(g, w) != product(w, g)
 
     def test_exhaustive_order_cap(self):
+        # the scan stops at the enumeration cap; the closed form does not
         with pytest.raises(OrderTooLarge):
-            in_center(left_zero(4), method="exhaustive")
+            scan_center(left_zero(4))
+        assert in_center(left_zero(4), method="exact")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             in_center(left_zero(2), method="quick")
+        with pytest.raises(ValueError, match="'fast' or 'exact'"):
+            in_center(left_zero(2), method="exhaustive")
+
+
+class TestExactCenter:
+    """The closed form against the commuting scan it replaced."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_scan_on_every_table(self, order):
+        central = [g for g in all_groupoids(order) if in_center(g, "exact")]
+        assert central == [g for g in all_groupoids(order) if scan_center(g)]
+        # the two projections, which coincide at order 1
+        assert central == sorted({left_zero(order), right_zero(order)}, key=lambda g: g.table)
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_projections_at_any_order(self, order):
+        assert in_center(left_zero(order), "exact")
+        assert in_center(right_zero(order), "exact")
+        # a constant table is central only as the single table of order 1
+        assert in_center(groupoid([[0] * order] * order), "exact") == (order == 1)
+
+    def test_labels_and_zero_ignored(self):
+        g = right_zero(3).with_metadata(labels="abc", zero=1)
+        assert in_center(g, "exact")
 
 
 class TestFindInverse:
