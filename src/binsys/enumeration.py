@@ -16,15 +16,15 @@ Three entry points:
   the registry on purpose: their reports document *where* the general
   statement breaks.
 
-Claims read raw tables: a per-table claim's hypothesis and conclusion take
-``(g, z)``, the drawn table and the zero under test (None unless the claim
-needs one), and compare derived factors and composites as tuples from the
-raw-table kernels.  A Groupoid carrying the zero is built only for a
-recorded counterexample, or to call ``classify`` once the hypothesis holds.
-The side domains of ``ClaimContext`` (random triples, locally-zero and
-operand-valued tables) and the uniqueness counts are raw as well; a table
-from them is wrapped in a Groupoid only when it is recorded as a
-counterexample.
+Claims read raw tables, and one loop (``_tally``) runs them all: it counts
+the cases a claim draws and records the first few that fail.  A per-table
+claim's hypothesis and conclusion take ``(t, z)``, the raw table drawn
+(from the cached order's tables, or from a seeded sample) and the zero
+under test (None unless the claim needs one), and compare derived factors
+and composites as tuples from the raw-table kernels.  The side domains of
+``ClaimContext`` (random triples, locally-zero and operand-valued tables)
+and the uniqueness counts are raw as well.  A Groupoid is built only for a
+recorded counterexample, or where a claim calls ``classify``.
 
 ``verify_claims`` splits its claims over forked processes when the job
 is large and the platform can fork; ``BINSYS_THREADS`` (else the CPU
@@ -36,6 +36,7 @@ logger at DEBUG.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -55,9 +56,6 @@ from .core import (
     _right_zero_table,
     _semi_neutral_table,
     _strong,
-    left_zero,
-    right_zero,
-    semi_neutral_groupoid,
 )
 from .axioms import _ax_b1
 from .errors import EXHAUSTIVE_ORDER_LIMIT, OrderTooLarge, PreconditionError
@@ -72,17 +70,17 @@ from .factorization import (
     _solution_count,
     _ua_holds,
     classify,
-    orient_factor,
 )
 from .graphs import SimpleGraph, _graph_table, all_graphs
-from .semigroup import _compose, _is_identity, in_center
+from .semigroup import _compose, _is_central, _is_identity
 
 MAX_COUNTEREXAMPLES = 5
 
 # 32-bit words taken from the RNG per getrandbits call (see _randbelow_blocks)
 _BLOCK_WORDS = 4096
 
-_ALL_CACHE: dict[int, tuple] = {}
+# how many instances a secondary (pair/graph) domain draws at most
+_SIDE_CAP = 2048
 
 
 def table_count(order: int) -> int:
@@ -103,22 +101,26 @@ def _require_order(order: int) -> None:
         raise PreconditionError(f"order must be >= 1, got {order}")
 
 
-def _tables(order: int):
+@functools.cache
+def _all_tables(order: int) -> tuple:
+    """Every raw table of the order (at most EXHAUSTIVE_ORDER_LIMIT),
+    ascending by row-major flattened cells."""
     n = order
-    for flat in itertools.product(range(n), repeat=n * n):
-        yield tuple(flat[i * n:(i + 1) * n] for i in range(n))
+    return tuple(
+        tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        for flat in itertools.product(range(n), repeat=n * n)
+    )
 
 
 def all_groupoids(order: int):
-    """Every table of the order, ascending by row-major flattened cells."""
+    """Every table of the order, ascending by row-major flattened cells;
+    each Groupoid is built as it is drawn, from the cached raw tables."""
     _require_order(order)
     if order > EXHAUSTIVE_ORDER_LIMIT:
         raise OrderTooLarge(
             f"exhaustive enumeration supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
         )
-    if order not in _ALL_CACHE:
-        _ALL_CACHE[order] = tuple(Groupoid(t) for t in _tables(order))
-    return iter(_ALL_CACHE[order])
+    return map(Groupoid, _all_tables(order))
 
 
 def _randbelow_blocks(rng: random.Random, n: int):
@@ -371,9 +373,11 @@ class ClaimContext:
         self.seed = seed
         self.samples = samples
 
-    def groupoids(self):
+    def tables(self):
+        """The main domain as raw tables: every table of the order, or the
+        drawn sample."""
         if self.mode == "exhaustive":
-            return all_groupoids(self.order)
+            return iter(_all_tables(self.order))
         return iter(self.samples)
 
     def rng(self, salt: str) -> random.Random:
@@ -384,11 +388,11 @@ class ClaimContext:
             return table_count(self.order)
         return len(self.samples)
 
-    def side_count(self, cap=2048):
+    def side_count(self):
         """How many instances secondary (pair/graph) domains should draw."""
         if self.mode == "exhaustive":
-            return cap
-        return min(self.count, cap)
+            return _SIDE_CAP
+        return min(self.count, _SIDE_CAP)
 
     # The side domains below yield raw tables.
 
@@ -413,7 +417,7 @@ class ClaimContext:
     def op_tables(self):
         """Tables where every product lands on an operand."""
         if self.mode == "exhaustive":
-            return (g.table for g in all_groupoids(self.order) if _orientation(g.table))
+            return (t for t in _all_tables(self.order) if _orientation(t))
         rng = self.rng("op")
         n = self.order
 
@@ -429,44 +433,57 @@ class ClaimContext:
         return gen()
 
 
+def _tally(cases, holds, zeroed=False):
+    """The loop behind every claim runner: ``(checked, counterexamples)``.
+
+    Every case is counted, and the first MAX_COUNTEREXAMPLES on which
+    ``holds(*case)`` is false are recorded.  A case is a tuple of raw
+    tables, recorded as one Groupoid each (a pair or a triple is listed
+    flattened), or with ``zeroed`` a ``(t, z)`` pair, recorded as
+    ``Groupoid(t, zero=z)``.
+    """
+    checked = 0
+    failed = []
+    for case in cases:
+        checked += 1
+        if not holds(*case) and len(failed) < MAX_COUNTEREXAMPLES:
+            failed.append(case)
+    if zeroed:
+        return checked, [Groupoid(t, zero=z) for t, z in failed]
+    return checked, [Groupoid(t) for case in failed for t in case]
+
+
 def _universal(cid, statement, conclusion, hypothesis=None, needs_zero=False,
                min_order=1, expected="pass"):
     """A claim checked per table (times per zero when needs_zero).
 
-    ``hypothesis`` and ``conclusion`` take ``(g, z)``: the table as drawn
-    and the zero under test, None unless the claim needs one.  No zeroed
-    copy of g is built to filter or check it; a counterexample is recorded
-    as ``g.with_metadata(zero=z)``.
+    ``hypothesis`` and ``conclusion`` take ``(t, z)``: the raw table as
+    drawn and the zero under test, None unless the claim needs one.  The
+    cases that meet the hypothesis go through ``_tally``, which records a
+    counterexample as ``Groupoid(t, zero=z)``.
     """
 
     def run(ctx):
         if ctx.order < min_order:
             return 0, [], f"not checked below order {min_order}"
         zeros = range(ctx.order) if needs_zero else (None,)
-        checked = 0
-        cexs = []
-        for g in ctx.groupoids():
-            for z in zeros:
-                if hypothesis is not None and not hypothesis(g, z):
-                    continue
-                checked += 1
-                if not conclusion(g, z) and len(cexs) < MAX_COUNTEREXAMPLES:
-                    cexs.append(g if z is None else g.with_metadata(zero=z))
-        return checked, cexs, None
+        cases = (
+            (t, z) for t in ctx.tables() for z in zeros
+            if hypothesis is None or hypothesis(t, z)
+        )
+        return *_tally(cases, conclusion, zeroed=True), None
 
     return Claim(cid, statement, expected, run)
 
 
-def _singleton(cid, statement, check, min_order=1):
-    """A claim about one specific table per order."""
+def _singleton(cid, statement, table, check, min_order=1):
+    """A claim that ``check`` holds on one raw table per order,
+    ``table(order)``; the table is its own counterexample."""
 
     def run(ctx):
         if ctx.order < min_order:
             return 0, [], f"not checked below order {min_order}"
-        witness = check(ctx.order)
-        if witness is None:
-            return 1, [], None
-        return 1, [witness], None
+        return *_tally([(table(ctx.order),)], check), None
 
     return Claim(cid, statement, "pass", run)
 
@@ -484,13 +501,7 @@ def _closed(cid, statement, tables, predicate):
         else:
             half = len(pool) // 2
             pairs = zip(pool[:half], pool[half:])
-        checked = 0
-        cexs = []
-        for a, b in pairs:
-            checked += 1
-            if not predicate(_compose(a, b)):
-                if len(cexs) < MAX_COUNTEREXAMPLES * 2:
-                    cexs.extend([Groupoid(a), Groupoid(b)])
+        checked, cexs = _tally(pairs, lambda a, b: predicate(_compose(a, b)))
         note = "counterexamples listed as flattened pairs" if cexs else None
         return checked, cexs, note
 
@@ -499,21 +510,21 @@ def _closed(cid, statement, tables, predicate):
 
 # helpers shared by several claims
 
-def _t(check):
-    """A (g, z) claim test that reads only g's raw table."""
-    return lambda g, z: check(g.table)
-
-
 def _projections(order):
     """The left (the ⋄-identity) and right projection tables of an order."""
     return _left_zero_table(order), _right_zero_table(order)
 
 
+def _classify(t, z):
+    """``classify`` of the table with the zero under test."""
+    return classify(Groupoid(t, zero=z))
+
+
 def _unique(method):
-    """The method's derived pair reproduces g and is its only in-shape pair."""
-    # a forced method's count is 1 only when its derived pair reproduces g
+    """The method's derived pair reproduces t and is its only in-shape pair."""
+    # a forced method's count is 1 only when its derived pair reproduces t
     reproduces = {"ua": _ua_holds, "jo": _jo_holds}.get(method, lambda t: True)
-    return _t(lambda t: _solution_count(t, method) == 1 and reproduces(t))
+    return lambda t, z: _solution_count(t, method) == 1 and reproduces(t)
 
 
 def _is_abelian_group(t):
@@ -548,86 +559,54 @@ def _no_op_cells(t):
 # custom runners
 
 def _run_associative(ctx):
-    checked = 0
-    cexs = []
-
-    def check(f, g, h):
-        # f, g, h are raw tables
-        nonlocal checked
-        checked += 1
-        if _compose(_compose(f, g), h) != _compose(f, _compose(g, h)):
-            if len(cexs) < MAX_COUNTEREXAMPLES * 3:
-                cexs.extend([Groupoid(f), Groupoid(g), Groupoid(h)])
-
-    note = None
-    pool = [g.table for g in all_groupoids(ctx.order)] if ctx.mode == "exhaustive" else None
+    pool = _all_tables(ctx.order) if ctx.mode == "exhaustive" else None
     if pool and ctx.order <= 2:
-        for f in pool:
-            for g in pool:
-                for h in pool:
-                    check(f, g, h)
+        triples = itertools.product(pool, repeat=3)
+        note = None
     elif pool:
         # pool indices as rng.randrange(len(pool)) would draw them
         picks = itertools.chain.from_iterable(_randbelow_blocks(ctx.rng("assoc"), len(pool)))
         trials = 100_000
-        for _ in range(trials):
-            check(pool[next(picks)], pool[next(picks)], pool[next(picks)])
+        triples = ((pool[next(picks)], pool[next(picks)], pool[next(picks)])
+                   for _ in range(trials))
         note = f"{trials} random triples (full triple space is too large)"
     else:
-        trio = [list(ctx.random_tables(ctx.side_count(), f"assoc{i}")) for i in range(3)]
-        for f, g, h in zip(*trio):
-            check(f, g, h)
+        triples = zip(*(ctx.random_tables(ctx.side_count(), f"assoc{i}") for i in range(3)))
         note = "random triples"
+    checked, cexs = _tally(
+        triples, lambda f, g, h: _compose(_compose(f, g), h) == _compose(f, _compose(g, h)),
+    )
     if cexs:
         note = ((note + "; ") if note else "") + "counterexamples listed as flattened triples"
     return checked, cexs, note
 
 
 def _run_center_self_inverse(ctx):
-    checked = 0
-    cexs = []
-    for t in ctx.locally_zero_tables():
-        checked += 1
-        if not _is_identity(_compose(t, t)):
-            if len(cexs) < MAX_COUNTEREXAMPLES:
-                cexs.append(Groupoid(t))
-    return checked, cexs, None
+    return *_tally(zip(ctx.locally_zero_tables()), lambda t: _is_identity(_compose(t, t))), None
 
 
 def _run_center_agreement(ctx):
-    # in_center "exact" is closed-form at any order; above the cap the
-    # claim still reports what the scan it replaced did (nothing checked,
-    # this note), so that sampled reports stay as they were.
+    # _is_central is closed-form at any order; above the cap the claim
+    # still reports what the scan it replaced did (nothing checked, this
+    # note), so that sampled reports stay as they were.
     if ctx.order > EXHAUSTIVE_ORDER_LIMIT:
         return 0, [], (
             f"exhaustive center scan is defined only up to order {EXHAUSTIVE_ORDER_LIMIT}"
         )
-    checked = 0
-    cexs = []
-    for g in ctx.groupoids():
-        checked += 1
-        if in_center(g, "fast") != in_center(g, "exact"):
-            if len(cexs) < MAX_COUNTEREXAMPLES:
-                cexs.append(g)
-    return checked, cexs, None
+    return *_tally(zip(ctx.tables()), lambda t: _locally_zero(t) == _is_central(t)), None
 
 
 def _run_semi_neutral_product(ctx):
-    checked = 0
-    cexs = []
-    for z in range(ctx.order):
-        s = _semi_neutral_table(ctx.order, z)
-        checked += 1
-        if _compose(s, s) != s:
-            cexs.append(semi_neutral_groupoid(ctx.order, z))
-    return checked, cexs, None
+    n = ctx.order
+    cases = ((_semi_neutral_table(n, z), z) for z in range(n))
+    return *_tally(cases, lambda s, z: _compose(s, s) == s, zeroed=True), None
 
 
 CLAIMS = [
     _universal(
         "thm-2.4-identity",
         "the left projection table is a two-sided identity for the composition",
-        _t(lambda t: _compose(e := _left_zero_table(len(t)), t) == t == _compose(t, e)),
+        lambda t, z: _compose(e := _left_zero_table(len(t)), t) == t == _compose(t, e),
     ),
     Claim(
         "thm-2.4-associative",
@@ -637,12 +616,12 @@ CLAIMS = [
     _singleton(
         "prop-2.5-right-zero-strong",
         "the right projection table is strong",
-        lambda n: None if _strong(_right_zero_table(n)) else right_zero(n),
+        _right_zero_table, _strong,
     ),
     _universal(
         "prop-2.6-projections-central",
         "both projection tables commute with every table",
-        _t(lambda t: all(_compose(t, p) == _compose(p, t) for p in _projections(len(t)))),
+        lambda t, z: all(_compose(t, p) == _compose(p, t) for p in _projections(len(t))),
     ),
     _closed(
         "cor-2.7-center-closed",
@@ -657,8 +636,8 @@ CLAIMS = [
     # The classical claim that the locally-zero tables are exactly the
     # commute-with-everything tables breaks at order 3: a table with one
     # left-zero pair and one right-zero pair is locally zero but not
-    # central.  Only the two projections are central (in_center "exact");
-    # the statement still names the scan that first showed it.
+    # central.  Only the two projections are central (_is_central); the
+    # statement still names the scan that first showed it.
     Claim(
         "center-agreement",
         "the fast centrality test agrees with the exhaustive commuting scan",
@@ -667,18 +646,18 @@ CLAIMS = [
     _universal(
         "thm-3.1.3-strong-ua",
         "signature times similar reproduces every strong table",
-        _t(_ua_holds), hypothesis=_t(_strong),
+        lambda t, z: _ua_holds(t), hypothesis=lambda t, z: _strong(t),
     ),
     _universal(
         "cor-3.1.4-ua-unique",
         "a strong table has exactly one signature-shape/similar-shape factorization",
         _unique("ua"),
-        hypothesis=_t(_strong),
+        hypothesis=lambda t, z: _strong(t),
     ),
     _universal(
         "thm-3.2.3-au-universal",
         "similar times signature reproduces every table",
-        _t(_au_holds),
+        lambda t, z: _au_holds(t),
     ),
     _universal(
         "cor-3.2.4-au-unique",
@@ -688,68 +667,66 @@ CLAIMS = [
     _universal(
         "cor-3.2.5-strong-u-normal",
         "strong tables factor both ways through signature and similar",
-        _t(lambda t: _ua_holds(t) and _au_holds(t)),
-        hypothesis=_t(_strong),
+        lambda t, z: _ua_holds(t) and _au_holds(t),
+        hypothesis=lambda t, z: _strong(t),
     ),
     _universal(
         "prop-3.2-similar-factor-strong",
         "the similar factor of any table is strong",
-        _t(lambda t: _strong(_similar(t))),
+        lambda t, z: _strong(_similar(t)),
     ),
     _universal(
         "prop-3.2.7-prime-implies-u-normal",
         "a table whose signature or similar factor is trivial factors both ways",
-        _t(lambda t: _ua_holds(t) and _au_holds(t)),
-        hypothesis=_t(lambda t: _is_identity(_signature(t)) or _is_identity(_similar(t))),
+        lambda t, z: _ua_holds(t) and _au_holds(t),
+        hypothesis=lambda t, z: _is_identity(_signature(t)) or _is_identity(_similar(t)),
     ),
     _singleton(
         "prop-3.2.8-right-zero-similar-prime",
         "the right projection table has a trivial similar factor",
-        lambda n: None
-        if _is_identity(_similar(r := _right_zero_table(n))) and _ua_holds(r)
-        else right_zero(n),
+        _right_zero_table, lambda r: _is_identity(_similar(r)) and _ua_holds(r),
     ),
     _universal(
         "prop-3.2.10-statement",
         "a strong table that is not locally zero is u-composite",
-        lambda g, z: classify(g).u_composite,
-        hypothesis=_t(lambda t: _strong(t) and not _locally_zero(t)),
+        lambda t, z: _classify(t, z).u_composite,
+        hypothesis=lambda t, z: _strong(t) and not _locally_zero(t),
         expected="fail",
     ),
     _universal(
         "prop-3.2.10-proof",
         "a strong table with no idempotent cell and no operand-valued product is u-composite",
-        lambda g, z: classify(g).u_composite,
-        hypothesis=_t(lambda t: _strong(t) and _no_op_cells(t)),
+        lambda t, z: _classify(t, z).u_composite,
+        hypothesis=lambda t, z: _strong(t) and _no_op_cells(t),
     ),
     _universal(
         "thm-3.3.1-factor-primes",
         "the similar factor of a signature factor is trivial, and vice versa",
-        _t(lambda t: _is_identity(_similar(_signature(t)))
-           and _is_identity(_signature(_similar(t)))),
+        lambda t, z: _is_identity(_similar(_signature(t)))
+        and _is_identity(_signature(_similar(t))),
     ),
     _universal(
         "cor-3.3.2-ua-refactor",
         "re-deriving both factors and composing again still reproduces the table (signature first)",
-        _t(lambda t: _compose(_signature(_signature(t)), _similar(_similar(t))) == t),
-        hypothesis=_t(_ua_holds),
+        lambda t, z: _compose(_signature(_signature(t)), _similar(_similar(t))) == t,
+        hypothesis=lambda t, z: _ua_holds(t),
     ),
     _universal(
         "cor-3.3.3-au-refactor",
         "re-deriving both factors and composing again still reproduces the table (similar first)",
-        _t(lambda t: _compose(_similar(_similar(t)), _signature(_signature(t))) == t),
+        lambda t, z: _compose(_similar(_similar(t)), _signature(_signature(t))) == t,
     ),
     _universal(
         "cor-3.3.4-strong-refactor",
         "for strong tables the re-derived factors compose back in both orders",
-        _t(lambda t: _compose(sig := _signature(_signature(t)), sim := _similar(_similar(t))) == t
-           and _compose(sim, sig) == t),
-        hypothesis=_t(_strong),
+        lambda t, z: _compose(sig := _signature(_signature(t)), sim := _similar(_similar(t))) == t
+        and _compose(sim, sig) == t,
+        hypothesis=lambda t, z: _strong(t),
     ),
     _universal(
         "thm-4.1.2-oj-universal",
         "orient times skew reproduces every table",
-        _t(_oj_holds),
+        lambda t, z: _oj_holds(t),
     ),
     _universal(
         "cor-4.1.3-oj-unique",
@@ -759,19 +736,19 @@ CLAIMS = [
     _universal(
         "thm-4.2.3-op-jo",
         "skew times orient reproduces every operand-valued table",
-        _t(_jo_holds), hypothesis=_t(_orientation),
+        lambda t, z: _jo_holds(t), hypothesis=lambda t, z: _orientation(t),
     ),
     _universal(
         "cor-4.2.4-jo-unique",
         "an operand-valued table has exactly one skew-shape/orient factorization",
         _unique("jo"),
-        hypothesis=_t(_orientation),
+        hypothesis=lambda t, z: _orientation(t),
     ),
     _universal(
         "prop-4.2.5-op-j-normal",
         "operand-valued tables factor both ways through orient and skew",
-        _t(lambda t: _oj_holds(t) and _jo_holds(t)),
-        hypothesis=_t(_orientation),
+        lambda t, z: _oj_holds(t) and _jo_holds(t),
+        hypothesis=lambda t, z: _orientation(t),
     ),
     _closed(
         "op-product-closed",
@@ -781,27 +758,23 @@ CLAIMS = [
     _singleton(
         "prop-4.4-orient-locally-zero",
         "the orient factor is locally zero",
-        lambda n: None
-        if _locally_zero(_orient(_left_zero_table(n)))
-        else orient_factor(left_zero(n)),
+        lambda n: _orient(_left_zero_table(n)), _locally_zero,
     ),
     _singleton(
         "cor-4.5-orient-unit",
         "the orient factor squares to the identity",
-        lambda n: None
-        if _is_identity(_compose(o := _orient(_left_zero_table(n)), o))
-        else orient_factor(left_zero(n)),
+        lambda n: _orient(_left_zero_table(n)), lambda o: _is_identity(_compose(o, o)),
     ),
     _universal(
         "thm-4.3.1-orient-skew",
         "the skew factor of the orient factor is trivial, and orient composed "
         "with the table gives its skew factor",
-        _t(lambda t: _is_identity(_skew(o := _orient(t))) and _compose(o, t) == _skew(t)),
+        lambda t, z: _is_identity(_skew(o := _orient(t))) and _compose(o, t) == _skew(t),
     ),
     _singleton(
         "thm-4.3.3-right-zero-j-composite",
         "the right projection table is composite through orient and skew both ways",
-        lambda n: None if classify(right_zero(n)).j_composite else right_zero(n),
+        _right_zero_table, lambda r: _classify(r, None).j_composite,
         min_order=3,  # at order 2 its skew factor is the identity
     ),
     _universal(
@@ -809,24 +782,22 @@ CLAIMS = [
         "a non-trivial table with a symmetric anti-diagonal reproduces itself "
         "against its orient factor on the left",
         # is_partially_prime(g, orient_factor(g), "left") on raw tables
-        _t(lambda t: not _is_identity(o := _orient(t)) and _compose(o, t) == t),
-        hypothesis=_t(lambda t: _bi_diagonal(t) and not _is_identity(t)),
+        lambda t, z: not _is_identity(o := _orient(t)) and _compose(o, t) == t,
+        hypothesis=lambda t, z: _bi_diagonal(t) and not _is_identity(t),
     ),
     _universal(
         "prop-5.1-semi-neutral-prime-composite",
         "a non-trivial semi-neutral table has a trivial signature factor and "
         "is composite through orient and skew",
-        lambda g, z: (r := classify(g.with_metadata(zero=z))).signature_prime and r.oj_composite,
-        hypothesis=lambda g, z: g.table == _semi_neutral_table(g.order, z)
-        and not _is_identity(g.table),
+        lambda t, z: (r := _classify(t, z)).signature_prime and r.oj_composite,
+        hypothesis=lambda t, z: t == _semi_neutral_table(len(t), z) and not _is_identity(t),
         needs_zero=True,
     ),
     _universal(
         "cor-5.2-semi-neutral-semi-normal",
         "a non-trivial semi-neutral table is semi-normal",
-        lambda g, z: classify(g.with_metadata(zero=z)).semi_normal,
-        hypothesis=lambda g, z: g.table == _semi_neutral_table(g.order, z)
-        and not _is_identity(g.table),
+        lambda t, z: _classify(t, z).semi_normal,
+        hypothesis=lambda t, z: t == _semi_neutral_table(len(t), z) and not _is_identity(t),
         needs_zero=True,
     ),
     Claim(
@@ -837,15 +808,15 @@ CLAIMS = [
     _universal(
         "prop-5.4-b1-similar-semi-neutral",
         "when the diagonal is constantly zero the similar factor is semi-neutral",
-        lambda g, z: _similar(g.table) == _semi_neutral_table(g.order, z),
-        hypothesis=lambda g, z: _ax_b1(g.table, g.order, z),
+        lambda t, z: _similar(t) == _semi_neutral_table(len(t), z),
+        hypothesis=lambda t, z: _ax_b1(t, len(t), z),
         needs_zero=True,
     ),
     _universal(
         "cor-5.5-strong-b1-semi-normal",
         "a strong table with constantly-zero diagonal is semi-normal",
-        lambda g, z: classify(g.with_metadata(zero=z)).semi_normal,
-        hypothesis=lambda g, z: _strong(g.table) and _ax_b1(g.table, g.order, z),
+        lambda t, z: _classify(t, z).semi_normal,
+        hypothesis=lambda t, z: _strong(t) and _ax_b1(t, len(t), z),
         needs_zero=True,
         min_order=2,  # at order 1 both derived factors are semi-neutral
     ),
@@ -853,17 +824,17 @@ CLAIMS = [
         "cor-5.6-strong-b1-semi-composite",
         "a strong, constantly-zero-diagonal table that is not itself "
         "semi-neutral is semi-composite",
-        lambda g, z: classify(g.with_metadata(zero=z)).semi_composite,
-        hypothesis=lambda g, z: _strong(g.table) and _ax_b1(g.table, g.order, z)
-        and g.table != _semi_neutral_table(g.order, z),
+        lambda t, z: _classify(t, z).semi_composite,
+        hypothesis=lambda t, z: _strong(t) and _ax_b1(t, len(t), z)
+        and t != _semi_neutral_table(len(t), z),
         needs_zero=True,
     ),
     _universal(
         "prop-5.9-magma",
         "no symmetric table of order at least 2 factors both ways through "
         "signature and similar",
-        _t(lambda t: not (_ua_holds(t) and _au_holds(t))),
-        hypothesis=_t(_abelian),
+        lambda t, z: not (_ua_holds(t) and _au_holds(t)),
+        hypothesis=lambda t, z: _abelian(t),
         min_order=2,
         expected="fail",
     ),
@@ -871,8 +842,8 @@ CLAIMS = [
         "prop-5.9-group",
         "no abelian group table of order at least 2 factors both ways through "
         "signature and similar",
-        _t(lambda t: not (_ua_holds(t) and _au_holds(t))),
-        hypothesis=_t(_is_abelian_group),
+        lambda t, z: not (_ua_holds(t) and _au_holds(t)),
+        hypothesis=lambda t, z: _is_abelian_group(t),
         min_order=2,
     ),
 ]
@@ -915,7 +886,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         mode = "exhaustive"
         samples = None
         start = time.perf_counter()
-        all_groupoids(order)  # warm the cache before any fork
+        _all_tables(order)  # warm the cache before any fork
         _debug("order-%d table cache ready in %.3f s", order, time.perf_counter() - start)
     else:
         sample = int(sample)
@@ -925,7 +896,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         if seed is None:
             seed = 0
         start = time.perf_counter()
-        samples = tuple(random_groupoids(order, sample, seed))
+        samples = tuple(_random_tables(order, sample, seed))
         _debug("drew %d order-%d tables in %.3f s", sample, order, time.perf_counter() - start)
     ctx = ClaimContext(order, mode, count=sample, seed=seed, samples=samples)
     weight = ctx.domain_size() * len(selected)

@@ -12,8 +12,9 @@ n*n cells that commutes with the swap (x, y) -> (y, x), and
 with n fixed points (the diagonal) and C(n, 2) free swap orbits.  Its
 center is therefore known in closed form: for n >= 2 exactly the two
 projection tables (the identity and the swap), and the single table at
-n = 1.  The classical claim that the locally-zero tables are exactly the
-central ones does not hold from order 3 up (see ``in_center``).
+n = 1 (``_is_central``).  The classical claim that the locally-zero tables
+are exactly the central ones does not hold from order 3 up (see
+``in_center``).
 
 One kernel computes ⋄: ``_compose`` works on raw tables (tuples of tuple
 rows) and reads row x of g against column x of g, so cell (x, y) is
@@ -32,7 +33,6 @@ from .core import (
     Table,
     _left_zero_table,
     _right_zero_table,
-    is_locally_zero,
     left_zero,
 )
 from .errors import OrderMismatch
@@ -81,28 +81,27 @@ def is_identity(g: Groupoid) -> bool:
     return _is_identity(g.table)
 
 
-def in_center(g: Groupoid, method: str = "fast") -> bool:
-    """Does g commute with every table of its order?
+def _is_central(t: Table) -> bool:
+    """Is t one of the two projection tables (at order 1 they coincide)?"""
+    n = len(t)
+    return t in (_left_zero_table(n), _right_zero_table(n))
 
-    "exact" answers in closed form at any order: g is central exactly when
-    it is one of the two projection tables (at order 1 they coincide).
+
+def in_center(g: Groupoid) -> bool:
+    """Does g commute with every table of its order?  Exact at any order.
+
+    g is central exactly when it is one of the two projection tables.
     Commuting with the constant tables forces g(x, x) = x, and commuting
     with the tables that carry one swap orbit onto another (every other
     cell sent to one element) forces g to act on every orbit alike, as
     the identity or as the swap.
 
-    "fast" decides via the locally-zero predicate, the classical
-    characterization of the commuting tables.  The two disagree from
+    The classical characterization, ``is_locally_zero``, disagrees from
     order 3 up: a locally-zero table with one left-zero pair and one
     right-zero pair fails to commute with everything.  The verification
     registry tracks the gap as the expected-fail claim "center-agreement".
     """
-    if method == "fast":
-        return is_locally_zero(g)
-    if method != "exact":
-        raise ValueError(f"method must be 'fast' or 'exact', not {method!r}")
-    n = g.order
-    return g.table in (_left_zero_table(n), _right_zero_table(n))
+    return _is_central(g.table)
 
 
 def _pair_map(g: Groupoid) -> list[int]:
@@ -120,14 +119,12 @@ def _pair_map(g: Groupoid) -> list[int]:
 def find_inverse(g: Groupoid) -> Groupoid | None:
     """The table h with g ⋄ h = h ⋄ g = identity, or None; any order.
 
-    Locally-zero tables square to the identity, so they are their own
-    inverses.  Otherwise g is invertible exactly when its pair map φ_g is
-    a permutation of the cells, and then h is read off φ_g⁻¹ in closed
-    form: h(x, y) = φ_g⁻¹[x*n+y] // n.  The inverse keeps g's labels and
-    zero.
+    g is invertible exactly when its pair map φ_g is a permutation of the
+    cells, and then h is read off φ_g⁻¹ in closed form:
+    h(x, y) = φ_g⁻¹[x*n+y] // n.  (A locally-zero g squares to the
+    identity, so φ_g is an involution and h = g.)  The inverse keeps g's
+    labels and zero.
     """
-    if is_locally_zero(g):
-        return g
     n = g.order
     phi = _pair_map(g)
     if len(set(phi)) != n * n:

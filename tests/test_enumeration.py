@@ -333,32 +333,55 @@ class TestVerifyClaims:
         assert base == forked
 
     def test_counterexample_carries_its_zero(self):
-        # hypothesis and conclusion see (g, z); only a failing pair is
-        # rebuilt with its zero
+        # hypothesis and conclusion see (t, z), the raw table and the zero
+        # under test; only a failing pair is built, as a Groupoid with its zero
         seen = []
 
-        def hypothesis(g, z):
-            seen.append((g.zero, z))
+        def hypothesis(t, z):
+            seen.append((t, z))
             return z != 0
 
         claim = enumeration._universal(
-            "zero-one-fails", "", lambda g, z: z != 1, hypothesis, needs_zero=True,
+            "zero-one-fails", "", lambda t, z: z != 1, hypothesis, needs_zero=True,
         )
         checked, cexs, _ = claim.runner(enumeration.ClaimContext(2, "exhaustive"))
-        pool = list(all_groupoids(2))
-        assert seen == [(None, z) for _ in pool for z in (0, 1)]
+        pool = [g.table for g in all_groupoids(2)]
+        assert seen == [(t, z) for t in pool for z in (0, 1)]
+        assert all(type(t) is tuple for t, _ in seen)
         assert checked == len(pool)
+        assert all(isinstance(c, Groupoid) for c in cexs)
         assert [(c.table, c.zero) for c in cexs] == [
-            (g.table, 1) for g in pool[:enumeration.MAX_COUNTEREXAMPLES]
+            (t, 1) for t in pool[:enumeration.MAX_COUNTEREXAMPLES]
         ]
 
+    def test_tally_records_the_first_failures(self):
+        # the one count-and-record loop: every case counted, the first
+        # MAX_COUNTEREXAMPLES failing cases kept, flattened or zeroed
+        cap = enumeration.MAX_COUNTEREXAMPLES
+        pool = [g.table for g in all_groupoids(2)]
+        pairs = [(a, b) for a in pool for b in pool]
+        checked, cexs = enumeration._tally(pairs, lambda a, b: a == b)
+        failing = [(a, b) for a, b in pairs if a != b][:cap]
+        assert checked == len(pairs)
+        assert [c.table for c in cexs] == [t for pair in failing for t in pair]
+        checked, cexs = enumeration._tally(
+            ((t, 1) for t in pool), lambda t, z: t[0][0] == z, zeroed=True,
+        )
+        assert checked == len(pool)
+        assert [(c.table, c.zero) for c in cexs] == [
+            (t, 1) for t in pool if t[0][0] != 1
+        ][:cap]
+        assert enumeration._tally(iter(()), lambda: False) == (0, [])
+
     def test_groupoid_constructions_bounded(self, monkeypatch):
-        # Claims, predicates, side domains and the uniqueness count read
-        # raw tables; a Groupoid is built for the main sample, a classify
-        # call and recorded counterexamples.  Measured: 13,072
+        # The main sample, claims, predicates, side domains and the
+        # uniqueness count read raw tables; a Groupoid is built only for a
+        # classify call and a recorded counterexample.  Measured: 13,072
         # constructions when every claim wrapped its derived factors,
         # composites and zeroed copies in a Groupoid; 3,491 with raw-table
-        # claims; 201 with raw side domains and uniqueness counts.
+        # claims; 201 with raw side domains and uniqueness counts (the
+        # main sample was still Groupoids); 19 with a raw main sample and
+        # the (t, z) claim contract.
         calls = 0
         validate = Groupoid.__post_init__
 
@@ -369,7 +392,7 @@ class TestVerifyClaims:
 
         monkeypatch.setattr(Groupoid, "__post_init__", counting)
         verify_claims(5, sample=200, seed=1, workers=1)
-        assert 0 < calls <= 201
+        assert 0 < calls <= 19
 
     def test_debug_log(self, caplog):
         caplog.set_level(logging.DEBUG, logger="binsys")

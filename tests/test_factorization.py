@@ -344,7 +344,7 @@ class TestSolutionCount:
                 rep = uniqueness_search(g, method)
                 count = _solution_count(g.table, method)
                 assert count == rep.solution_count == slow[g.table], (g, method)
-                assert unique(g, None) == (count == 1 and rep.derived.reproduces)
+                assert unique(g.table, None) == (count == 1 and rep.derived.reproduces)
                 if order < 3:
                     assert len(scan_factor_pairs(g, method)) == slow[g.table]
 

@@ -1,8 +1,8 @@
 """Static checks over the package source.
 
 Every module under ``src/binsys`` (bar ``__init__.py``, which only
-re-exports) must use each name it imports, and every function the traced
-benchmark run (``perfbench/layers.py``) wraps must still exist.
+re-exports) must use each name it imports, and every function and claim
+the traced benchmark run (``perfbench/layers.py``) wraps must still exist.
 """
 
 import ast
@@ -50,13 +50,13 @@ def _perfbench_layers():
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 def test_traced_layers_resolve():
     missing = [
         f"{layer}.{name}"
-        for layer, names in _perfbench_layers().items()
+        for layer, names in _perfbench_layers().LAYERS.items()
         for name, _ in names
         if not callable(getattr(importlib.import_module(f"binsys.{layer}"), name, None))
     ]
@@ -67,3 +67,11 @@ def test_groupoid_validation_hook_exists():
     from binsys.core import Groupoid
 
     assert callable(Groupoid.__dict__.get("__post_init__"))
+
+
+def test_traced_claims_match_registry():
+    # each claim is a span "enumeration.claim.<id>"; a registry change that
+    # drops, renames or reorders a claim would silently lose or shift one
+    from binsys.enumeration import REGISTRY
+
+    assert _perfbench_layers().CLAIM_IDS == tuple(REGISTRY)

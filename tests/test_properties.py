@@ -357,15 +357,15 @@ def near_projections(draw, min_order=4, max_order=6):
 def test_center_witnesses_split_every_table_to_order_three():
     for order in (2, 3):
         for g in all_groupoids(order):
-            assert separated_from_center(g.table) == (not in_center(g, "exact"))
+            assert separated_from_center(g.table) == (not in_center(g))
 
 
 @settings(max_examples=300)
 @given(orbit_tables(max_order=6) | near_projections() | table_strategy(4, 6))
 def test_exact_center_matches_witnesses(rows):
     # orbit tables reach the projections and the locally-zero mixtures of
-    # left- and right-zero pairs that "fast" wrongly admits
+    # left- and right-zero pairs that is_locally_zero wrongly admits
     g = groupoid(rows)
     projection = g.table in (left_zero(g.order).table, right_zero(g.order).table)
-    assert in_center(g, "exact") == projection
+    assert in_center(g) == projection
     assert separated_from_center(g.table) == (not projection)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -95,29 +96,38 @@ class TestCommutes:
 
 
 class TestCenter:
+    """``in_center`` (exact, closed form) against ``is_locally_zero``, the
+    classical characterization of the central tables that its former
+    "fast" mode ran."""
+
     def test_fast_accepts_locally_zero(self):
-        assert in_center(groupoid(tables.LOC3), method="fast")
-        assert in_center(groupoid(tables.LOC6), method="fast")
+        for rows in (tables.LOC3, tables.LOC6):
+            g = groupoid(rows)
+            assert is_locally_zero(g)
+            # neither is a projection, so neither is central
+            assert not in_center(g)
 
     def test_fast_rejects_non_locally_zero(self):
-        assert not in_center(groupoid(tables.D5), method="fast")
+        g = groupoid(tables.D5)
+        assert not is_locally_zero(g)
+        assert not in_center(g)
 
     def test_exhaustive_rejects_constant(self):
         const0 = groupoid([[0, 0], [0, 0]])
         assert not scan_center(const0)
-        assert not in_center(const0, method="exact")
+        assert not in_center(const0)
 
     def test_modes_agree_at_order_two(self):
         for g in all_groupoids(2):
-            assert in_center(g, "fast") == in_center(g, "exact") == scan_center(g)
+            assert is_locally_zero(g) == in_center(g) == scan_center(g)
 
     def test_modes_diverge_at_order_three(self):
         # A locally-zero table mixing a right-zero pair with left-zero
-        # pairs is not central; the fast path follows the classical
-        # characterization, the exact test and the scan report the truth.
+        # pairs is not central: the classical characterization admits it,
+        # the exact test and the scan report the truth.
         g = groupoid(tables.MIXED3)
-        assert in_center(g, "fast")
-        assert not in_center(g, "exact")
+        assert is_locally_zero(g)
+        assert not in_center(g)
         assert not scan_center(g)
         w = groupoid(tables.MIXED3_WITNESS)
         assert product(g, w) != product(w, g)
@@ -126,13 +136,15 @@ class TestCenter:
         # the scan stops at the enumeration cap; the closed form does not
         with pytest.raises(OrderTooLarge):
             scan_center(left_zero(4))
-        assert in_center(left_zero(4), method="exact")
+        assert in_center(left_zero(4))
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            in_center(left_zero(2), method="quick")
-        with pytest.raises(ValueError, match="'fast' or 'exact'"):
-            in_center(left_zero(2), method="exhaustive")
+        # in_center has one, exact, answer and takes no method
+        for method in ("fast", "exact", "exhaustive"):
+            with pytest.raises(TypeError):
+                in_center(left_zero(2), method)
+            with pytest.raises(TypeError):
+                in_center(left_zero(2), method=method)
 
 
 class TestExactCenter:
@@ -140,21 +152,21 @@ class TestExactCenter:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_scan_on_every_table(self, order):
-        central = [g for g in all_groupoids(order) if in_center(g, "exact")]
+        central = [g for g in all_groupoids(order) if in_center(g)]
         assert central == [g for g in all_groupoids(order) if scan_center(g)]
         # the two projections, which coincide at order 1
         assert central == sorted({left_zero(order), right_zero(order)}, key=lambda g: g.table)
 
     @pytest.mark.parametrize("order", range(1, 9))
     def test_projections_at_any_order(self, order):
-        assert in_center(left_zero(order), "exact")
-        assert in_center(right_zero(order), "exact")
+        assert in_center(left_zero(order))
+        assert in_center(right_zero(order))
         # a constant table is central only as the single table of order 1
-        assert in_center(groupoid([[0] * order] * order), "exact") == (order == 1)
+        assert in_center(groupoid([[0] * order] * order)) == (order == 1)
 
     def test_labels_and_zero_ignored(self):
         g = right_zero(3).with_metadata(labels="abc", zero=1)
-        assert in_center(g, "exact")
+        assert in_center(g)
 
 
 class TestFindInverse:
@@ -163,6 +175,21 @@ class TestFindInverse:
         assert find_inverse(g) == g
         big = groupoid(tables.LOC6)
         assert find_inverse(big) == big
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_locally_zero_table_is_its_own_inverse(self, order):
+        # such a table squares to the identity, so its pair map is an
+        # involution and the closed form gives back the table, with its
+        # labels and zero
+        found = 0
+        for g in all_groupoids(order):
+            if is_locally_zero(g):
+                g = g.with_metadata(labels="abc"[:order], zero=order - 1)
+                inv = find_inverse(g)
+                assert (inv.table, inv.labels, inv.zero) == (g.table, g.labels, g.zero)
+                found += 1
+        # one left- or right-zero choice per pair of elements
+        assert found == 2 ** math.comb(order, 2)
 
     def test_projections(self):
         assert find_inverse(left_zero(3)) == left_zero(3)
