@@ -7,9 +7,13 @@ prime/composite/normal with respect to each factorization, checks the
 axiom systems of the classical logic algebras, and translates between
 tables and (di)graphs.  :mod:`binsys.enumeration` sweeps every table of
 a small order to confirm the registered structural claims.
+
+The axiom names (:mod:`binsys.axioms`) and the claim verifier's names
+(:mod:`binsys.enumeration`) are exported lazily: the owning module is
+imported on first access, so a command that needs neither never loads
+them.
 """
 
-from .axioms import ALGEBRA_CLASSES, AXIOMS, algebra_classes, axiom_holds, axiom_vector
 from .core import (
     PREDICATES,
     DiagonalProfile,
@@ -30,18 +34,6 @@ from .core import (
     right_zero,
     semi_neutral_groupoid,
     zero_semigroup,
-)
-from .enumeration import (
-    CLAIMS,
-    REGISTRY,
-    CensusReport,
-    Claim,
-    ClaimReport,
-    all_groupoids,
-    census,
-    random_groupoids,
-    table_count,
-    verify_claims,
 )
 from .errors import (
     BadLabels,
@@ -89,6 +81,31 @@ from .graphs import Digraph, SimpleGraph, all_graphs, from_graph, to_digraph, to
 from .semigroup import commutes, find_inverse, identity, in_center, is_identity, product
 
 __version__ = "0.1.0"
+
+# module -> the names it exports through the package, imported on first use
+_LAZY = {
+    "axioms": ("ALGEBRA_CLASSES", "AXIOMS", "algebra_classes", "axiom_holds", "axiom_vector"),
+    "enumeration": (
+        "CLAIMS", "REGISTRY", "CensusReport", "Claim", "ClaimReport",
+        "all_groupoids", "census", "random_groupoids", "table_count", "verify_claims",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    module = _OWNER.get(name)
+    if module is None and name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = import_module(f"{__name__}.{module or name}")
+    return loaded if module is None else getattr(loaded, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER})
+
 
 __all__ = [
     "ALGEBRA_CLASSES",

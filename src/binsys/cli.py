@@ -1,19 +1,23 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 file parse/validation problems, 2 precondition
-violations (order too large, missing zero, mismatched orders, missing
-orientation), 3 internal invariant breaches.
+Exit codes: 0 success, 1 file parse/validation problems (an unreadable or
+non-UTF-8 file included) and a closed stdout, 2 precondition violations
+(order too large, missing zero, mismatched orders, missing orientation),
+3 internal invariant breaches.
+
+Only ``axioms`` imports :mod:`binsys.axioms`, and only ``enumerate`` and
+``verify`` import :mod:`binsys.enumeration`; the other commands never
+compile them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .axioms import algebra_classes, axiom_vector
 from .core import is_locally_zero
-from .enumeration import all_groupoids, census, verify_claims
 from .errors import PreconditionError, ValidationError
 from .factorization import METHODS, classify, factorize
 from .fileformat import (
@@ -29,13 +33,18 @@ from .semigroup import find_inverse, product
 SCHEMA = 1
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_groupoid(text)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+def _load(path: str):
+    return parse_groupoid(_read(path))
 
 
 def _meta(g) -> dict:
@@ -82,6 +91,8 @@ def _cmd_classify(args):
 
 
 def _cmd_axioms(args):
+    from .axioms import algebra_classes, axiom_vector
+
     g = _load(args.file)
     out = _meta(g)
     out["axioms"] = axiom_vector(g)
@@ -91,16 +102,11 @@ def _cmd_axioms(args):
 
 
 def _cmd_graph(args):
-    g_or_text = args.file
     if args.direction == "from-dot":
-        try:
-            with open(g_or_text, encoding="utf-8") as fh:
-                graph, names = parse_dot(fh.read())
-        except OSError as exc:
-            raise ValidationError(f"cannot read {g_or_text}: {exc.strerror}") from None
+        graph, names = parse_dot(_read(args.file))
         sys.stdout.write(serialize_groupoid(from_graph(graph).with_metadata(labels=names)))
         return 0
-    g = _load(g_or_text)
+    g = _load(args.file)
     if args.direction == "to-dot":
         if not is_locally_zero(g):
             print(
@@ -114,6 +120,8 @@ def _cmd_graph(args):
 
 
 def _cmd_enumerate(args):
+    from .enumeration import all_groupoids, census
+
     if args.census:
         report = census(args.order)
         out = {
@@ -130,6 +138,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify(args):
+    from .enumeration import verify_claims
+
     reports = verify_claims(args.order, sample=args.sample, seed=args.seed)
     out = {
         "schema": SCHEMA,
@@ -159,6 +169,10 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="binsys",
         description="Finite binary systems: products, factorizations, axioms, graphs.",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true",
+        help="show the binsys logger's DEBUG records (phase and per-claim timings) on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,11 +222,16 @@ def _build_parser():
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: send what is left to devnull so the flush
+        # at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -222,6 +241,23 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - invariant breach => exit 3
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    import logging
+
+    logger = logging.getLogger("binsys")
+    handler, level = logging.StreamHandler(), logger.level  # stderr
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

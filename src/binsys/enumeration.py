@@ -816,7 +816,7 @@ CLAIMS = [
         "cor-5.5-strong-b1-semi-normal",
         "a strong table with constantly-zero diagonal is semi-normal",
         lambda t, z: _classify(t, z).semi_normal,
-        hypothesis=lambda t, z: _strong(t) and _ax_b1(t, len(t), z),
+        hypothesis=lambda t, z: _ax_b1(t, len(t), z) and _strong(t),
         needs_zero=True,
         min_order=2,  # at order 1 both derived factors are semi-neutral
     ),
@@ -825,7 +825,7 @@ CLAIMS = [
         "a strong, constantly-zero-diagonal table that is not itself "
         "semi-neutral is semi-composite",
         lambda t, z: _classify(t, z).semi_composite,
-        hypothesis=lambda t, z: _strong(t) and _ax_b1(t, len(t), z)
+        hypothesis=lambda t, z: _ax_b1(t, len(t), z) and _strong(t)
         and t != _semi_neutral_table(len(t), z),
         needs_zero=True,
     ),

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -237,6 +238,43 @@ class TestParseFailures:
         assert code == 1
         assert "undeclared" in err
 
+    @pytest.mark.parametrize("command", [["classify"], ["graph", "from-dot"]])
+    def test_non_utf8_file(self, capsys, tmp_path, command):
+        f = tmp_path / "bad.gpd"
+        f.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, *command, str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {f}: ")
+        assert "utf-8" in err
+
+
+def test_verbose_logs_claim_timings(capsys):
+    quiet_code, quiet_out, quiet_err = run(capsys, "verify", "--order", "2")
+    code, out, err = run(capsys, "--verbose", "verify", "--order", "2")
+    assert quiet_code == code == 0
+    assert out == quiet_out
+    assert quiet_err == ""
+    assert "claim thm-2.4-identity: 16 checked in " in err
+    # the switch leaves no handler behind for later in-process calls
+    assert logging.getLogger("binsys").handlers == []
+
+
+def test_closed_stdout_exits_one():
+    # the listing is far larger than a pipe buffer, so the writer is
+    # still blocked when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "binsys", "enumerate", "--order", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"0 0 0 0 0 0 0 0 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no "internal error" line, no "Exception ignored" trace
+
 
 def test_module_entry_point(data_dir):
     proc = subprocess.run(
@@ -258,6 +296,36 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+LAZY_MODULES = ("binsys.axioms", "binsys.enumeration")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["classify", "bck3.gpd"], []),
+    (["derive", "--method", "oj", "bck3.gpd"], []),
+    (["product", "rz2.gpd", "rz2.gpd"], []),
+    (["graph", "to-dot", "star4.gpd"], []),
+    (["graph", "from-dot", "star.dot"], []),
+    (["inverse", "bck3.gpd"], []),
+    (["axioms", "bck3.gpd"], ["binsys.axioms"]),
+], ids=lambda v: " ".join(v) or "import")
+def test_command_loads_only_what_it_runs(data_dir, argv, loaded):
+    # a fresh interpreter: the verifier and the axiom checks are compiled
+    # only by the commands that run them
+    argv = [str(data_dir / a) if a.endswith((".gpd", ".dot")) else a for a in argv]
+    script = (
+        "import contextlib, io, sys, binsys.cli\n"
+        f"argv = {argv!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert binsys.cli.main(argv) == 0\n"
+        f"print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(loaded)
 
 
 def test_console_script_help():

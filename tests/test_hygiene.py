@@ -1,16 +1,22 @@
-"""Static checks over the package source.
+"""Static checks over the package source and its exports.
 
 Every module under ``src/binsys`` (bar ``__init__.py``, which only
 re-exports) must use each name it imports, and every function and claim
 the traced benchmark run (``perfbench/layers.py``) wraps must still exist.
+The package exports the names it imports eagerly plus those of its lazy
+table, each the very object its module defines.
 """
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import binsys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "binsys"
@@ -75,3 +81,64 @@ def test_traced_claims_match_registry():
     from binsys.enumeration import REGISTRY
 
     assert _perfbench_layers().CLAIM_IDS == tuple(REGISTRY)
+
+
+def eager_exports() -> dict[str, str]:
+    """Name -> module for each name ``__init__.py`` imports at load time."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        a.asname or a.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    }
+
+
+def test_lazy_names_exist():
+    missing = [
+        f"{module}.{name}"
+        for module, names in binsys._LAZY.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"binsys.{module}"), name)
+    ]
+    assert missing == []
+
+
+def test_all_is_eager_plus_lazy():
+    eager, lazy = eager_exports(), binsys._OWNER
+    assert not eager.keys() & lazy.keys()
+    assert len(set(binsys.__all__)) == len(binsys.__all__)
+    assert set(binsys.__all__) == eager.keys() | lazy.keys()
+
+
+def test_exports_are_their_modules_objects():
+    owners = dict(eager_exports(), **binsys._OWNER)
+    wrong = [
+        name for name in binsys.__all__
+        if getattr(binsys, name) is not getattr(
+            importlib.import_module(f"binsys.{owners[name]}"), name)
+    ]
+    assert wrong == []
+
+
+def test_lazy_modules_load_on_first_use():
+    script = """
+import sys, binsys
+assert not {"binsys.axioms", "binsys.enumeration"} & set(sys.modules)
+assert set(binsys.__all__) <= set(dir(binsys))
+assert binsys.axioms is sys.modules["binsys.axioms"]
+assert "binsys.enumeration" not in sys.modules
+assert binsys.REGISTRY is sys.modules["binsys.enumeration"].REGISTRY
+assert binsys.enumeration is sys.modules["binsys.enumeration"]
+try:
+    binsys.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("binsys.no_such_name resolved")
+namespace = {}
+exec("from binsys import *", namespace)
+assert set(binsys.__all__) <= set(namespace)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
