@@ -18,7 +18,6 @@ from .core import (
     PREDICATES,
     DiagonalProfile,
     Groupoid,
-    check_predicate,
     diagonal_profile,
     groupoid,
     has_orientation,
@@ -33,7 +32,6 @@ from .core import (
     predicate_vector,
     right_zero,
     semi_neutral_groupoid,
-    zero_semigroup,
 )
 from .errors import (
     BadLabels,
@@ -78,7 +76,7 @@ from .fileformat import (
     serialize_groupoid,
 )
 from .graphs import Digraph, SimpleGraph, all_graphs, from_graph, to_digraph, to_graph
-from .semigroup import commutes, find_inverse, identity, in_center, is_identity, product
+from .semigroup import commutes, find_inverse, in_center, is_identity, product
 
 __version__ = "0.1.0"
 
@@ -146,7 +144,6 @@ __all__ = [
     "axiom_vector",
     "binary_equivalent",
     "census",
-    "check_predicate",
     "classify",
     "commutes",
     "diagonal_profile",
@@ -158,7 +155,6 @@ __all__ = [
     "groupoid",
     "has_orientation",
     "has_twisted_orientation",
-    "identity",
     "in_center",
     "is_abelian",
     "is_bi_diagonal",
@@ -189,5 +185,4 @@ __all__ = [
     "ua_holds",
     "uniqueness_search",
     "verify_claims",
-    "zero_semigroup",
 ]

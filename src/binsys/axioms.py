@@ -163,7 +163,7 @@ def axiom_vector(g: Groupoid) -> dict:
 
 
 # Named bundles of axioms.  Each entry lists the axiom names that must all
-# hold; the two entries with a callable add a non-equational requirement.
+# hold; "semi-neutral-B1" also needs the semi-neutral table (algebra_classes).
 ALGEBRA_CLASSES = {
     "B": ("B1", "B2", "B"),
     "BG": ("B1", "B2", "BG"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
-from operator import eq
+from operator import eq, index as as_index
 
 from .errors import BadLabels, BadShape, BadZero, ClosureViolation, MissingZero
 
@@ -20,7 +20,25 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def _freeze_table(rows) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    rows = tuple(map(tuple, rows))
+    table = tuple(tuple(map(int, row)) for row in rows)
+    if rows != table:
+        # int() reads "1" and 1.0 exactly but truncates 1.7: name a lossy cell
+        for x, (row, frozen) in enumerate(zip(rows, table)):
+            for y, (v, i) in enumerate(zip(row, frozen)):
+                if i != v and not isinstance(v, str):
+                    raise ClosureViolation(f"cell ({x},{y}) holds {v!r}, not an integer")
+    return table
+
+
+def _zero_index(zero, order: int) -> int:
+    """``zero`` as an element index of an order-n table, else BadZero."""
+    try:
+        if 0 <= as_index(zero) < order:
+            return as_index(zero)
+    except TypeError:
+        pass
+    raise BadZero(f"zero={zero} is not an element index")
 
 
 def _is_frozen(table) -> bool:
@@ -78,20 +96,11 @@ class Groupoid:
             if any((not s) or s.split() != [s] for s in labels):
                 raise BadLabels("labels must be non-empty and without whitespace")
         if self.zero is not None:
-            if not 0 <= self.zero < n:
-                raise BadZero(f"zero={self.zero} is not an element index")
+            object.__setattr__(self, "zero", _zero_index(self.zero, n))
 
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def __eq__(self, other):
-        if not isinstance(other, Groupoid):
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
 
     def __call__(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -154,15 +163,6 @@ def right_zero(order: int, labels=None, zero=None) -> Groupoid:
     return Groupoid(_right_zero_table(order), labels=labels, zero=zero)
 
 
-def zero_semigroup(order: int, side: str = "left") -> Groupoid:
-    """A projection table: "left" keeps the row element, "right" the column."""
-    if side == "left":
-        return left_zero(order)
-    if side == "right":
-        return right_zero(order)
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-
-
 @cache
 def _semi_neutral_table(order: int, zero: int) -> Table:
     return tuple(
@@ -175,6 +175,7 @@ def semi_neutral_groupoid(order: int, zero: int = 0, labels=None) -> Groupoid:
     """The unique semi-neutral table for a given zero: x∘x = zero, x∘y = x."""
     if order < 1:
         raise BadShape("order must be >= 1")
+    zero = _zero_index(zero, order)
     return Groupoid(_semi_neutral_table(order, zero), labels=labels, zero=zero)
 
 
@@ -206,7 +207,7 @@ def diagonal_profile(g: Groupoid) -> DiagonalProfile:
 # --- predicates ---
 #
 # Each structural predicate is computed once, on the raw table; the public
-# functions (and so PREDICATES) and predicate_vector read g.table and call it.
+# functions, and so PREDICATES and predicate_vector, read g.table and call it.
 
 def _idempotent(t: Table) -> bool:
     return all(row[x] == x for x, row in enumerate(t))
@@ -297,25 +298,9 @@ PREDICATES = {
 }
 
 
-def check_predicate(g: Groupoid, name: str) -> bool:
-    try:
-        fn = PREDICATES[name]
-    except KeyError:
-        raise ValueError(f"unknown predicate {name!r}") from None
-    return fn(g)
-
-
 def predicate_vector(g: Groupoid) -> dict:
     """All predicates at once; semi_neutral is None when no zero is set."""
-    t, zero = g.table, g.zero
-    strong, orientation = _strong(t), _orientation(t)
     return {
-        "idempotent": _idempotent(t),
-        "strong": strong,
-        "locally_zero": orientation and strong,
-        "orientation": orientation,
-        "twisted_orientation": _twisted_orientation(t),
-        "bi_diagonal": _bi_diagonal(t),
-        "abelian": _abelian(t),
-        "semi_neutral": None if zero is None else t == _semi_neutral_table(len(t), zero),
+        name: None if name == "semi_neutral" and g.zero is None else fn(g)
+        for name, fn in PREDICATES.items()
     }

@@ -57,13 +57,13 @@ from .core import (
     _semi_neutral_table,
     _strong,
 )
-from .axioms import _ax_b1
+from .axioms import _ax_b1, _ax_co
 from .errors import EXHAUSTIVE_ORDER_LIMIT, OrderTooLarge, PreconditionError
 from .factorization import (
     _au_holds,
     _jo_holds,
     _oj_holds,
-    _orient,
+    _orient_table,
     _signature,
     _similar,
     _skew,
@@ -366,10 +366,9 @@ class ClaimContext:
     """What a claim runner may draw on: the order, the table stream, and
     deterministic per-claim RNG streams for sampled domains."""
 
-    def __init__(self, order, mode, count=None, seed=None, samples=None):
+    def __init__(self, order, mode, seed=None, samples=None):
         self.order = order
         self.mode = mode  # "exhaustive" | "sampled"
-        self.count = count
         self.seed = seed
         self.samples = samples
 
@@ -383,16 +382,11 @@ class ClaimContext:
     def rng(self, salt: str) -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
 
-    def domain_size(self):
-        if self.mode == "exhaustive":
-            return table_count(self.order)
-        return len(self.samples)
-
     def side_count(self):
         """How many instances secondary (pair/graph) domains should draw."""
         if self.mode == "exhaustive":
             return _SIDE_CAP
-        return min(self.count, _SIDE_CAP)
+        return min(len(self.samples), _SIDE_CAP)
 
     # The side domains below yield raw tables.
 
@@ -510,11 +504,6 @@ def _closed(cid, statement, tables, predicate):
 
 # helpers shared by several claims
 
-def _projections(order):
-    """The left (the ⋄-identity) and right projection tables of an order."""
-    return _left_zero_table(order), _right_zero_table(order)
-
-
 def _classify(t, z):
     """``classify`` of the table with the zero under test."""
     return classify(Groupoid(t, zero=z))
@@ -539,10 +528,7 @@ def _is_abelian_group(t):
         return False
     if any(all(t[x][y] != e for y in range(n)) for x in range(n)):
         return False
-    return all(
-        t[t[x][y]][z] == t[x][t[y][z]]
-        for x in range(n) for y in range(n) for z in range(n)
-    )
+    return _ax_co(t, n, None)
 
 
 def _no_op_cells(t):
@@ -621,7 +607,8 @@ CLAIMS = [
     _universal(
         "prop-2.6-projections-central",
         "both projection tables commute with every table",
-        lambda t, z: all(_compose(t, p) == _compose(p, t) for p in _projections(len(t))),
+        lambda t, z: all(_compose(t, p) == _compose(p, t)
+                         for p in (_left_zero_table(len(t)), _right_zero_table(len(t)))),
     ),
     _closed(
         "cor-2.7-center-closed",
@@ -758,18 +745,18 @@ CLAIMS = [
     _singleton(
         "prop-4.4-orient-locally-zero",
         "the orient factor is locally zero",
-        lambda n: _orient(_left_zero_table(n)), _locally_zero,
+        _orient_table, _locally_zero,
     ),
     _singleton(
         "cor-4.5-orient-unit",
         "the orient factor squares to the identity",
-        lambda n: _orient(_left_zero_table(n)), lambda o: _is_identity(_compose(o, o)),
+        _orient_table, lambda o: _is_identity(_compose(o, o)),
     ),
     _universal(
         "thm-4.3.1-orient-skew",
         "the skew factor of the orient factor is trivial, and orient composed "
         "with the table gives its skew factor",
-        lambda t, z: _is_identity(_skew(o := _orient(t))) and _compose(o, t) == _skew(t),
+        lambda t, z: _is_identity(_skew(o := _orient_table(len(t)))) and _compose(o, t) == _skew(t),
     ),
     _singleton(
         "thm-4.3.3-right-zero-j-composite",
@@ -782,7 +769,7 @@ CLAIMS = [
         "a non-trivial table with a symmetric anti-diagonal reproduces itself "
         "against its orient factor on the left",
         # is_partially_prime(g, orient_factor(g), "left") on raw tables
-        lambda t, z: not _is_identity(o := _orient(t)) and _compose(o, t) == t,
+        lambda t, z: not _is_identity(o := _orient_table(len(t))) and _compose(o, t) == t,
         hypothesis=lambda t, z: _bi_diagonal(t) and not _is_identity(t),
     ),
     _universal(
@@ -898,8 +885,8 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         start = time.perf_counter()
         samples = tuple(_random_tables(order, sample, seed))
         _debug("drew %d order-%d tables in %.3f s", sample, order, time.perf_counter() - start)
-    ctx = ClaimContext(order, mode, count=sample, seed=seed, samples=samples)
-    weight = ctx.domain_size() * len(selected)
+    ctx = ClaimContext(order, mode, seed=seed, samples=samples)
+    weight = (table_count(order) if samples is None else len(samples)) * len(selected)
     workers = _resolve_workers(workers, weight)
     _ACTIVE_CTX = ctx
     try:

@@ -44,8 +44,8 @@ class PreconditionError(BinsysError):
     """The inputs are well-formed but the operation does not apply."""
 
 
-# Exhaustive sweeps enumerate n**(n*n) tables (or as many shape fills);
-# above this order they raise OrderTooLarge.
+# Exhaustive sweeps enumerate n**(n*n) tables; above this order they raise
+# OrderTooLarge.
 EXHAUSTIVE_ORDER_LIMIT = 3
 
 

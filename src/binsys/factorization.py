@@ -50,10 +50,6 @@ def _orient_table(order: int) -> Table:
     )
 
 
-def _orient(t: Table) -> Table:
-    return _orient_table(len(t))
-
-
 def _skew(t: Table) -> Table:
     n = len(t)
     return tuple([
@@ -79,7 +75,7 @@ def orient_factor(g: Groupoid) -> Groupoid:
 
     Depends only on the order of g.
     """
-    return Groupoid(_orient(g.table), labels=g.labels, zero=g.zero)
+    return Groupoid(_orient_table(g.order), labels=g.labels, zero=g.zero)
 
 
 def skew_factor(g: Groupoid) -> Groupoid:
@@ -96,42 +92,19 @@ def _orient_cell(n: int, a: int, b: int) -> int:
 @dataclass(frozen=True)
 class FactorizationMethod:
     name: str
-    family: str
-    description: str
     derive_left: callable
     derive_right: callable
 
-    def derive(self, g: Groupoid) -> tuple[Groupoid, Groupoid]:
-        return self.derive_left(g), self.derive_right(g)
-
 
 METHODS = {
-    "ua": FactorizationMethod(
-        "ua", "diagonal-substitution",
-        "signature factor times similar factor",
-        signature_factor, similar_factor,
-    ),
-    "au": FactorizationMethod(
-        "au", "diagonal-substitution",
-        "similar factor times signature factor",
-        similar_factor, signature_factor,
-    ),
-    "oj": FactorizationMethod(
-        "oj", "anti-diagonal-transform",
-        "orient factor times skew factor",
-        orient_factor, skew_factor,
-    ),
-    "jo": FactorizationMethod(
-        "jo", "anti-diagonal-transform",
-        "skew factor times orient factor",
-        skew_factor, orient_factor,
-    ),
+    "ua": FactorizationMethod("ua", signature_factor, similar_factor),
+    "au": FactorizationMethod("au", similar_factor, signature_factor),
+    "oj": FactorizationMethod("oj", orient_factor, skew_factor),
+    "jo": FactorizationMethod("jo", skew_factor, orient_factor),
 }
 
 
-def _method(name) -> FactorizationMethod:
-    if isinstance(name, FactorizationMethod):
-        return name
+def _method(name: str) -> FactorizationMethod:
     try:
         return METHODS[name]
     except KeyError:
@@ -152,7 +125,7 @@ class FactorPair:
 def factorize(g: Groupoid, method="ua") -> FactorPair:
     """Derive the method's canonical factor pair and compose it back."""
     m = _method(method)
-    lt, rt = m.derive(g)
+    lt, rt = m.derive_left(g), m.derive_right(g)
     comp = product(lt, rt)
     return FactorPair(m.name, lt, rt, comp, comp == g)
 
@@ -169,11 +142,11 @@ def _au_holds(t: Table, sig: Table | None = None, sim: Table | None = None) -> b
 
 
 def _oj_holds(t: Table, skw: Table | None = None) -> bool:
-    return _compose(_orient(t), skw or _skew(t)) == t
+    return _compose(_orient_table(len(t)), skw or _skew(t)) == t
 
 
 def _jo_holds(t: Table, skw: Table | None = None) -> bool:
-    return _compose(skw or _skew(t), _orient(t)) == t
+    return _compose(skw or _skew(t), _orient_table(len(t))) == t
 
 
 def ua_holds(g: Groupoid) -> bool:
@@ -233,7 +206,7 @@ class ClassificationReport:
 def classify(g: Groupoid) -> ClassificationReport:
     """Evaluate every predicate and factorization flag for one table."""
     t = g.table
-    sig, sim, ori, skw = _signature(t), _similar(t), _orient(t), _skew(t)
+    sig, sim, ori, skw = _signature(t), _similar(t), _orient_table(g.order), _skew(t)
     ua, au = _ua_holds(t, sig, sim), _au_holds(t, sig, sim)
     oj, jo = _oj_holds(t, skw), _jo_holds(t, skw)
     ident = _left_zero_table(g.order)
@@ -390,7 +363,7 @@ def uniqueness_search(g: Groupoid, method="ua") -> UniquenessReport:
     count is exact and the listing is truncated.
     """
     m = _method(method)
-    derived = factorize(g, m)
+    derived = factorize(g, m.name)
     count = _solution_count(g.table, m.name)
     lefts = _left_solutions(g.table, derived.left.table, m.name) if count else []
     sols = sorted((lt, derived.right.table) for lt in lefts)

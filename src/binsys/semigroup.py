@@ -28,13 +28,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .core import (
-    Groupoid,
-    Table,
-    _left_zero_table,
-    _right_zero_table,
-    left_zero,
-)
+from .core import Groupoid, Table, _left_zero_table, _right_zero_table
 from .errors import OrderMismatch
 
 
@@ -49,11 +43,6 @@ def _compose(gt: Table, ht: Table) -> Table:
 def _same_order(g: Groupoid, h: Groupoid) -> None:
     if g.order != h.order:
         raise OrderMismatch(f"orders {g.order} and {h.order} differ")
-
-
-def identity(order: int) -> Groupoid:
-    """The ⋄-identity of the given order (the left projection table)."""
-    return left_zero(order)
 
 
 def product(g: Groupoid, h: Groupoid) -> Groupoid:

@@ -18,16 +18,16 @@ taken by swap-orbit decomposition: it classifies every table of the order
 import itertools
 import random
 
-from binsys import OrderTooLarge, all_groupoids, classify, commutes, identity, product
+from binsys import OrderTooLarge, all_groupoids, classify, commutes, left_zero, product
 from binsys.enumeration import CENSUS_KEYS
 from binsys.errors import EXHAUSTIVE_ORDER_LIMIT
-from binsys.factorization import _orient
+from binsys.factorization import _orient_table
 from binsys.semigroup import _compose
 
 
 def scan_inverse(g):
     """The first table h with g ⋄ h = h ⋄ g = identity, or None."""
-    ident = identity(g.order)
+    ident = left_zero(g.order)
     for h in all_groupoids(g.order):
         if product(g, h) == ident and product(h, g) == ident:
             return h
@@ -64,7 +64,7 @@ def _similar_frame(g):
 
 def _orient_frame(g):
     # fully pinned: this factor family is a single table per order
-    return [list(row) for row in _orient(g.table)]
+    return [list(row) for row in _orient_table(g.order)]
 
 
 def _skew_frame(g):

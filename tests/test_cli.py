@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tables
-from binsys import identity, is_locally_zero, parse_groupoid, product
+from binsys import is_locally_zero, left_zero, parse_groupoid, product
 from binsys.cli import main
 
 
@@ -227,7 +227,7 @@ class TestInverse:
         assert code == 0
         g, inv = parse_groupoid(f.read_text()), parse_groupoid(out)
         assert not is_locally_zero(g)
-        assert product(g, inv) == identity(4) == product(inv, g)
+        assert product(g, inv) == left_zero(4) == product(inv, g)
 
 
 class TestParseFailures:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import tables
@@ -9,7 +11,6 @@ from binsys import (
     Groupoid,
     MissingZero,
     PREDICATES,
-    check_predicate,
     diagonal_profile,
     groupoid,
     is_abelian,
@@ -24,7 +25,6 @@ from binsys import (
     predicate_vector,
     right_zero,
     semi_neutral_groupoid,
-    zero_semigroup,
 )
 
 
@@ -79,6 +79,33 @@ class TestConstruction:
         with pytest.raises(BadZero):
             groupoid([[0, 0], [1, 1]], labels=["e", "z"], zero="q")
 
+    @pytest.mark.parametrize("rows, cell", [
+        ([[0, 1.7], [1, 0]], "cell (0,1) holds 1.7"),
+        (((0, 1), (Fraction(1, 2), 0)), "cell (1,0) holds Fraction(1, 2)"),
+        # the exact 1.0 and "1" are read as before; the lossy 0.5 is named
+        ([[0, 1.0], [0.5, "1"]], "cell (1,0) holds 0.5"),
+    ])
+    def test_lossy_cell(self, rows, cell):
+        for build in (Groupoid, groupoid):
+            with pytest.raises(ClosureViolation) as info:
+                build(rows)
+            assert str(info.value) == f"{cell}, not an integer"
+
+    @pytest.mark.parametrize("zero", [1.5, 1.0, "1", (1,)])
+    def test_zero_not_an_index(self, zero):
+        with pytest.raises(BadZero, match="is not an element index"):
+            Groupoid(((0, 1), (1, 0)), zero=zero)
+
+    def test_bool_zero_becomes_int(self):
+        g = Groupoid(((0, 1), (1, 0)), zero=True)
+        assert type(g.zero) is int and g.zero == 1
+        assert repr(g) == "Groupoid(01,10, zero=1)"
+
+    @pytest.mark.parametrize("zero", [5, -1, 1.5, None])
+    def test_semi_neutral_bad_zero(self, zero):
+        with pytest.raises(BadZero):
+            semi_neutral_groupoid(3, zero=zero)
+
 
 class TestEquality:
     def test_labels_do_not_matter(self):
@@ -123,14 +150,6 @@ class TestBuilders:
     def test_right_zero(self, n):
         g = right_zero(n)
         assert all(g(x, y) == y for x in range(n) for y in range(n))
-
-    def test_zero_semigroup_sides(self):
-        assert zero_semigroup(3, "left") == left_zero(3)
-        assert zero_semigroup(3, "right") == right_zero(3)
-
-    def test_zero_semigroup_bad_side(self):
-        with pytest.raises(ValueError):
-            zero_semigroup(3, "middle")
 
     def test_semi_neutral_builder(self):
         g = semi_neutral_groupoid(3)
@@ -211,9 +230,8 @@ class TestPredicates:
         }
 
     def test_check_predicate(self):
-        assert check_predicate(groupoid(tables.TOP3), "orientation")
-        with pytest.raises(ValueError):
-            check_predicate(groupoid(tables.TOP3), "associative")
+        assert PREDICATES["orientation"](groupoid(tables.TOP3))
+        assert "associative" not in PREDICATES
 
     def test_predicate_vector_without_zero(self):
         vec = predicate_vector(groupoid(tables.LOC3))

@@ -166,7 +166,8 @@ class TestCensus:
         assert census(2, workers=3).counts == tables.CENSUS2
 
     def test_forced_parallel_census(self):
-        # census takes workers= for existing callers; it has no effect
+        # census takes workers= because the perfbench exhaustive-o3 workload
+        # passes it (perfbench/workloads.py); it has no effect
         assert census(3, workers=2).counts == tables.CENSUS3
 
     def test_debug_log(self, caplog):

@@ -19,7 +19,6 @@ from binsys import (
     classify,
     factorize,
     groupoid,
-    identity,
     is_partially_prime,
     left_zero,
     orient_factor,
@@ -61,7 +60,7 @@ class TestDiagonalFactors:
     def test_right_zero_factors(self):
         g = right_zero(3)
         assert signature_factor(g) == g
-        assert similar_factor(g) == identity(3)
+        assert similar_factor(g) == left_zero(3)
 
     def test_metadata_inherited(self):
         g = groupoid(tables.BCK3, labels=["p", "q", "r"], zero="p")
@@ -108,7 +107,7 @@ class TestAntiDiagonalFactors:
 
     def test_skew_of_orient_is_identity(self):
         for n in (2, 3, 4, 6):
-            assert skew_factor(orient_factor(left_zero(n))) == identity(n)
+            assert skew_factor(orient_factor(left_zero(n))) == left_zero(n)
 
 
 class TestFactorize:
@@ -224,7 +223,7 @@ class TestPartiallyPrime:
 
     def test_identity_never_counts(self):
         g = groupoid(tables.BCK3)
-        assert not is_partially_prime(g, identity(3), side="left")
+        assert not is_partially_prime(g, left_zero(3), side="left")
 
     def test_right_side(self):
         # composing with right-zero on the right transposes the table, so
@@ -363,7 +362,7 @@ class TestSolutionCount:
         with pytest.raises(InternalError, match=message):
             _solution_count(((0,),), "oj")
         with pytest.raises(InternalError, match=message):
-            uniqueness_search(identity(1), "oj")
+            uniqueness_search(left_zero(1), "oj")
 
 
 class TestBinaryEquivalent:
@@ -436,7 +435,7 @@ class TestBinaryEquivalentMatchesScan:
         # has w as one witness; a quarter unrelated pairs
         rng = random.Random(3)
         pool = list(all_groupoids(3))
-        involutions = [w for w in pool if product(w, w) == identity(3)]
+        involutions = [w for w in pool if product(w, w) == left_zero(3)]
         pairs = []
         for _ in range(5):
             a = rng.choice(pool)

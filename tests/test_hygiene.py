@@ -2,7 +2,8 @@
 
 Every module under ``src/binsys`` (bar ``__init__.py``, which only
 re-exports) must use each name it imports, and every function and claim
-the traced benchmark run (``perfbench/layers.py``) wraps must still exist.
+the traced benchmark run (``perfbench/layers.py``) wraps must still exist,
+and the calls the benchmark workloads make must still bind.
 The package exports the names it imports eagerly plus those of its lazy
 table, each the very object its module defines.
 """
@@ -10,6 +11,7 @@ table, each the very object its module defines.
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -67,6 +69,17 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(f"binsys.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_benchmark_call_sites_bind():
+    # perfbench/workloads.py calls census(n, workers=...) and
+    # verify_claims(order, sample=..., seed=..., workers=...); perfbench/run.py
+    # records _resolve_workers(None, 1 << 30) as the default worker count
+    from binsys.enumeration import _resolve_workers
+
+    inspect.signature(binsys.census).bind(3, workers=1)
+    inspect.signature(binsys.verify_claims).bind(5, sample=10, seed=1, workers=1)
+    assert type(_resolve_workers(None, 1 << 30)) is int
 
 
 def test_groupoid_validation_hook_exists():

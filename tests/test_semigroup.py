@@ -12,7 +12,6 @@ from binsys import (
     commutes,
     find_inverse,
     groupoid,
-    identity,
     in_center,
     is_identity,
     is_locally_zero,
@@ -32,7 +31,6 @@ def test_product_formula():
 
 
 def test_identity_is_left_zero():
-    assert identity(3) == left_zero(3)
     assert is_identity(left_zero(4))
     assert not is_identity(right_zero(4))
 
@@ -42,14 +40,14 @@ def test_identity_is_left_zero():
 )
 def test_identity_laws(table):
     g = groupoid(table)
-    e = identity(g.order)
+    e = left_zero(g.order)
     assert product(e, g) == g
     assert product(g, e) == g
 
 
 def test_right_zero_squares_to_identity():
     rz = right_zero(3)
-    assert product(rz, rz) == identity(3)
+    assert product(rz, rz) == left_zero(3)
 
 
 def test_order_mismatch():
@@ -202,7 +200,7 @@ class TestFindInverse:
         g = groupoid([[1, 0], [1, 0]])
         inv = find_inverse(g)
         assert inv == g
-        assert product(g, inv) == identity(2) == product(inv, g)
+        assert product(g, inv) == left_zero(2) == product(inv, g)
 
     def test_order_four(self):
         # GROUP4 is commutative, so every g ⋄ h is commutative too and
@@ -212,7 +210,7 @@ class TestFindInverse:
         assert find_inverse(g) is None
         op = groupoid(tables.OP4)
         inv = find_inverse(op)
-        assert product(op, inv) == identity(4) == product(inv, op)
+        assert product(op, inv) == left_zero(4) == product(inv, op)
 
     def test_order_four_without_local_zero(self):
         # a 4-cycle on the diagonal over a left-projection body
@@ -221,7 +219,7 @@ class TestFindInverse:
         assert inv.table == (
             (3, 0, 0, 0), (1, 0, 1, 1), (2, 2, 1, 2), (3, 3, 3, 2)
         )
-        assert product(g, inv) == identity(4) == product(inv, g)
+        assert product(g, inv) == left_zero(4) == product(inv, g)
 
     def test_computed_inverse_keeps_labels_and_zero(self):
         g = groupoid([[1, 0, 0], [1, 2, 1], [2, 2, 0]], labels="abc", zero="a")
@@ -234,8 +232,8 @@ class TestFindInverse:
         for g in all_groupoids(2):
             inv = find_inverse(g)
             if inv is not None:
-                assert product(g, inv) == identity(2)
-                assert product(inv, g) == identity(2)
+                assert product(g, inv) == left_zero(2)
+                assert product(inv, g) == left_zero(2)
 
 
 class TestFindInverseMatchesScan:
@@ -249,7 +247,7 @@ class TestFindInverseMatchesScan:
     def test_order_three_invertibles(self):
         # 3! diagonal permutations x 3! off-diagonal pair permutations
         # x 2^3 orientations of the pairs
-        e = identity(3)
+        e = left_zero(3)
         found = 0
         for g in all_groupoids(3):
             inv = find_inverse(g)
