@@ -9,7 +9,7 @@ Three entry points:
   of an order, at any order.  No table is enumerated: every counted flag
   is a condition on the diagonal and on each swap orbit {(x, y), (y, x)},
   so a count is a sum over the diagonals' fixed-point counts of products
-  over the pairs.
+  over the pairs, which are two powers (anti-diagonal pairs and the rest).
 * ``verify_claims`` — run a registry of general statements about tables
   against every table of an order (or a seeded sample at larger orders)
   and report counterexamples.  Claims that are expected to fail stay in
@@ -17,13 +17,14 @@ Three entry points:
   statement breaks.
 
 Claims read raw tables, and one loop (``_tally``) runs them all: it counts
-the cases a claim draws and records the first few that fail.  A per-table
-claim's hypothesis and conclusion take ``(t, z)``, the raw table drawn
-(from the cached order's tables, or from a seeded sample) and the zero
-under test (None unless the claim needs one), and compare derived factors
-and composites as tuples from the raw-table kernels.  The side domains of
-``ClaimContext`` (random triples, locally-zero and operand-valued tables)
-and the uniqueness counts are raw as well.  A Groupoid is built only for a
+the cases a claim draws and records the first few that fail.  The main
+domain, ``ClaimContext.samples``, is every table of the order or a seeded
+sample.  A per-table claim (``_universal``) draws ``(t, z)`` cases, a raw
+table and the zero under test, from ``cases(ctx)``; its hypothesis and
+conclusion take that pair and compare derived factors and composites as
+tuples from the raw-table kernels.  The side domains of ``ClaimContext``
+(random triples, locally-zero and operand-valued tables) and the
+uniqueness counts are raw as well.  A Groupoid is built only for a
 recorded counterexample, or where a claim calls ``classify``.
 
 ``verify_claims`` splits its claims over forked processes when the job
@@ -39,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import random
 import sys
@@ -71,7 +73,7 @@ from .factorization import (
     _ua_holds,
     classify,
 )
-from .graphs import SimpleGraph, _graph_table, all_graphs
+from .graphs import _graph_table, all_graphs
 from .semigroup import _compose, _is_central, _is_identity
 
 MAX_COUNTEREXAMPLES = 5
@@ -96,26 +98,29 @@ def _debug(message: str, *args) -> None:
         logging.getLogger("binsys").debug(message, *args)
 
 
-def _require_order(order: int) -> None:
-    if order < 1:
-        raise PreconditionError(f"order must be >= 1, got {order}")
+def _positive(value, what="order") -> int:
+    """An order or a sample count as an int >= 1, else PreconditionError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise PreconditionError(f"{what} must be >= 1, got {count}")
+    return count
 
 
 @functools.cache
 def _all_tables(order: int) -> tuple:
     """Every raw table of the order (at most EXHAUSTIVE_ORDER_LIMIT),
-    ascending by row-major flattened cells."""
-    n = order
-    return tuple(
-        tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        for flat in itertools.product(range(n), repeat=n * n)
-    )
+    ascending by row-major flattened cells; the tables share their rows."""
+    rows = tuple(itertools.product(range(order), repeat=order))
+    return tuple(itertools.product(rows, repeat=order))
 
 
 def all_groupoids(order: int):
     """Every table of the order, ascending by row-major flattened cells;
     each Groupoid is built as it is drawn, from the cached raw tables."""
-    _require_order(order)
+    order = _positive(order)
     if order > EXHAUSTIVE_ORDER_LIMIT:
         raise OrderTooLarge(
             f"exhaustive enumeration supports order <= {EXHAUSTIVE_ORDER_LIMIT}"
@@ -161,7 +166,7 @@ def _random_tables(order: int, count: int, seed=None):
 def random_groupoids(order: int, count: int, seed=None):
     """``count`` i.i.d. uniform tables; cells drawn row-major, each the
     next ``random.Random(seed).randrange(order)`` value."""
-    _require_order(order)
+    order = _positive(order)
     for t in _random_tables(order, count, seed):
         yield Groupoid(t)
 
@@ -296,13 +301,15 @@ def census(order: int, workers=None) -> CensusReport:
     Exact at any order, without enumerating the tables: for each k, the
     C(n,k)·(n-1)^(n-k) diagonals that fix exactly k elements are counted
     at once, and the tables over them that satisfy a term are a product
-    over pairs of that term's per-pair count.  ``workers`` is accepted for
+    over pairs of that term's per-pair count.  That count depends only on
+    whether the pair is on the anti-diagonal: (0, n-1) stands for the
+    n // 2 such pairs and (0, 1) for the rest.  ``workers`` is accepted for
     compatibility and has no effect.
     """
-    _require_order(order)
+    n = order = _positive(order)
     start = time.perf_counter()
-    n = order
-    pairs = list(itertools.combinations(range(n), 2))
+    anti = n // 2
+    classes = ((0, n - 1, anti), (0, 1, math.comb(n, 2) - anti))
     terms = _census_terms(n)
     masks = {mask for key_terms in terms.values() for _, _, mask in key_terms}
     counts = dict.fromkeys(CENSUS_KEYS, 0)
@@ -311,10 +318,11 @@ def census(order: int, workers=None) -> CensusReport:
         # UA, the only atom that reads the diagonal, holds on n(n-1) + k
         # value pairs whichever k elements are fixed, and UA ∧ SIGP on one
         fixed = range(k)
-        atoms = [[_pair_atoms(n, x, y, a, b, fixed) for a in range(n) for b in range(n)]
-                 for x, y in pairs]
+        atoms = [([_pair_atoms(n, x, y, a, b, fixed) for a in range(n) for b in range(n)], size)
+                 for x, y, size in classes]
         tables = {
-            mask: diagonals * math.prod(sum(v & mask == mask for v in pair) for pair in atoms)
+            mask: diagonals * math.prod(sum(v & mask == mask for v in pair) ** size
+                                        for pair, size in atoms)
             for mask in masks
         }
         for key in CENSUS_KEYS:
@@ -363,8 +371,8 @@ class ClaimReport:
 
 
 class ClaimContext:
-    """What a claim runner may draw on: the order, the table stream, and
-    deterministic per-claim RNG streams for sampled domains."""
+    """What a claim runner may draw on: the order, the main domain of raw
+    tables (``samples``), and deterministic per-claim RNG streams."""
 
     def __init__(self, order, mode, seed=None, samples=None):
         self.order = order
@@ -372,20 +380,11 @@ class ClaimContext:
         self.seed = seed
         self.samples = samples
 
-    def tables(self):
-        """The main domain as raw tables: every table of the order, or the
-        drawn sample."""
-        if self.mode == "exhaustive":
-            return iter(_all_tables(self.order))
-        return iter(self.samples)
-
     def rng(self, salt: str) -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
 
     def side_count(self):
-        """How many instances secondary (pair/graph) domains should draw."""
-        if self.mode == "exhaustive":
-            return _SIDE_CAP
+        """How many instances sampled secondary (pair/graph) domains draw."""
         return min(len(self.samples), _SIDE_CAP)
 
     # The side domains below yield raw tables.
@@ -394,37 +393,32 @@ class ClaimContext:
         return _random_tables(self.order, count, f"{self.seed}:{salt}")
 
     def locally_zero_tables(self):
-        """All of them when exhaustive (via graphs), else a seeded sample."""
+        """All of them when exhaustive (one per graph), else a seeded sample."""
         n = self.order
         if self.mode == "exhaustive":
-            graphs = all_graphs(n)
+            edge_sets = (graph.edges for graph in all_graphs(n))
         else:
             rng = self.rng("graphs")
             pairs = list(itertools.combinations(range(n), 2))
-            graphs = (
-                SimpleGraph(n, frozenset([p for p in pairs if rng.random() < 0.5]))
-                for _ in range(self.side_count())
-            )
-        for graph in graphs:
-            yield _graph_table(n, graph.edges)
+            edge_sets = ([p for p in pairs if rng.random() < 0.5]
+                         for _ in range(self.side_count()))
+        for edges in edge_sets:
+            yield _graph_table(n, edges)
 
     def op_tables(self):
         """Tables where every product lands on an operand."""
         if self.mode == "exhaustive":
-            return (t for t in _all_tables(self.order) if _orientation(t))
+            yield from filter(_orientation, self.samples)
+            return
         rng = self.rng("op")
         n = self.order
-
-        def gen():
-            for _ in range(self.side_count()):
-                table = [[x for _ in range(n)] for x in range(n)]
-                for x in range(n):
-                    for y in range(n):
-                        if x != y and rng.random() < 0.5:
-                            table[x][y] = y
-                yield tuple(map(tuple, table))
-
-        return gen()
+        for _ in range(self.side_count()):
+            table = [[x for _ in range(n)] for x in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    if x != y and rng.random() < 0.5:
+                        table[x][y] = y
+            yield tuple(map(tuple, table))
 
 
 def _tally(cases, holds, zeroed=False):
@@ -447,12 +441,29 @@ def _tally(cases, holds, zeroed=False):
     return checked, [Groupoid(t) for case in failed for t in case]
 
 
-def _universal(cid, statement, conclusion, hypothesis=None, needs_zero=False,
+# per-table claim domains: each yields (t, z) cases
+
+def _tables(ctx):
+    """Every table of the main domain, with no zero under test."""
+    return ((t, None) for t in ctx.samples)
+
+
+def _zeroed(ctx):
+    """Every table of the main domain, once per zero under test."""
+    return ((t, z) for t in ctx.samples for z in range(ctx.order))
+
+
+def _one(table):
+    """The domain of one raw table per order, ``table(order)``."""
+    return lambda ctx: [(table(ctx.order), None)]
+
+
+def _universal(cid, statement, conclusion, hypothesis=None, cases=_tables,
                min_order=1, expected="pass"):
-    """A claim checked per table (times per zero when needs_zero).
+    """A claim checked on each case ``(t, z)`` of ``cases(ctx)``.
 
     ``hypothesis`` and ``conclusion`` take ``(t, z)``: the raw table as
-    drawn and the zero under test, None unless the claim needs one.  The
+    drawn and the zero under test, None unless the domain sets one.  The
     cases that meet the hypothesis go through ``_tally``, which records a
     counterexample as ``Groupoid(t, zero=z)``.
     """
@@ -460,26 +471,13 @@ def _universal(cid, statement, conclusion, hypothesis=None, needs_zero=False,
     def run(ctx):
         if ctx.order < min_order:
             return 0, [], f"not checked below order {min_order}"
-        zeros = range(ctx.order) if needs_zero else (None,)
-        cases = (
-            (t, z) for t in ctx.tables() for z in zeros
+        domain = (
+            (t, z) for t, z in cases(ctx)
             if hypothesis is None or hypothesis(t, z)
         )
-        return *_tally(cases, conclusion, zeroed=True), None
+        return *_tally(domain, conclusion, zeroed=True), None
 
     return Claim(cid, statement, expected, run)
-
-
-def _singleton(cid, statement, table, check, min_order=1):
-    """A claim that ``check`` holds on one raw table per order,
-    ``table(order)``; the table is its own counterexample."""
-
-    def run(ctx):
-        if ctx.order < min_order:
-            return 0, [], f"not checked below order {min_order}"
-        return *_tally([(table(ctx.order),)], check), None
-
-    return Claim(cid, statement, "pass", run)
 
 
 def _closed(cid, statement, tables, predicate):
@@ -545,30 +543,26 @@ def _no_op_cells(t):
 # custom runners
 
 def _run_associative(ctx):
-    pool = _all_tables(ctx.order) if ctx.mode == "exhaustive" else None
-    if pool and ctx.order <= 2:
+    pool = ctx.samples
+    if ctx.mode == "sampled":
+        triples = zip(*(ctx.random_tables(ctx.side_count(), f"assoc{i}") for i in range(3)))
+        note = "random triples"
+    elif ctx.order <= 2:
         triples = itertools.product(pool, repeat=3)
         note = None
-    elif pool:
+    else:
         # pool indices as rng.randrange(len(pool)) would draw them
         picks = itertools.chain.from_iterable(_randbelow_blocks(ctx.rng("assoc"), len(pool)))
         trials = 100_000
         triples = ((pool[next(picks)], pool[next(picks)], pool[next(picks)])
                    for _ in range(trials))
         note = f"{trials} random triples (full triple space is too large)"
-    else:
-        triples = zip(*(ctx.random_tables(ctx.side_count(), f"assoc{i}") for i in range(3)))
-        note = "random triples"
     checked, cexs = _tally(
         triples, lambda f, g, h: _compose(_compose(f, g), h) == _compose(f, _compose(g, h)),
     )
     if cexs:
         note = ((note + "; ") if note else "") + "counterexamples listed as flattened triples"
     return checked, cexs, note
-
-
-def _run_center_self_inverse(ctx):
-    return *_tally(zip(ctx.locally_zero_tables()), lambda t: _is_identity(_compose(t, t))), None
 
 
 def _run_center_agreement(ctx):
@@ -579,13 +573,7 @@ def _run_center_agreement(ctx):
         return 0, [], (
             f"exhaustive center scan is defined only up to order {EXHAUSTIVE_ORDER_LIMIT}"
         )
-    return *_tally(zip(ctx.tables()), lambda t: _locally_zero(t) == _is_central(t)), None
-
-
-def _run_semi_neutral_product(ctx):
-    n = ctx.order
-    cases = ((_semi_neutral_table(n, z), z) for z in range(n))
-    return *_tally(cases, lambda s, z: _compose(s, s) == s, zeroed=True), None
+    return *_tally(zip(ctx.samples), lambda t: _locally_zero(t) == _is_central(t)), None
 
 
 CLAIMS = [
@@ -599,10 +587,10 @@ CLAIMS = [
         "the composition is associative",
         "pass", _run_associative,
     ),
-    _singleton(
+    _universal(
         "prop-2.5-right-zero-strong",
         "the right projection table is strong",
-        _right_zero_table, _strong,
+        lambda t, z: _strong(t), cases=_one(_right_zero_table),
     ),
     _universal(
         "prop-2.6-projections-central",
@@ -615,10 +603,11 @@ CLAIMS = [
         "the composite of two locally-zero tables is locally zero",
         ClaimContext.locally_zero_tables, _locally_zero,
     ),
-    Claim(
+    _universal(
         "prop-2.8-center-self-inverse",
         "every locally-zero table squares to the identity",
-        "pass", _run_center_self_inverse,
+        lambda t, z: _is_identity(_compose(t, t)),
+        cases=lambda ctx: ((t, None) for t in ctx.locally_zero_tables()),
     ),
     # The classical claim that the locally-zero tables are exactly the
     # commute-with-everything tables breaks at order 3: a table with one
@@ -668,10 +657,10 @@ CLAIMS = [
         lambda t, z: _ua_holds(t) and _au_holds(t),
         hypothesis=lambda t, z: _is_identity(_signature(t)) or _is_identity(_similar(t)),
     ),
-    _singleton(
+    _universal(
         "prop-3.2.8-right-zero-similar-prime",
         "the right projection table has a trivial similar factor",
-        _right_zero_table, lambda r: _is_identity(_similar(r)) and _ua_holds(r),
+        lambda t, z: _is_identity(_similar(t)) and _ua_holds(t), cases=_one(_right_zero_table),
     ),
     _universal(
         "prop-3.2.10-statement",
@@ -742,15 +731,15 @@ CLAIMS = [
         "the composite of two operand-valued tables is operand-valued",
         ClaimContext.op_tables, _orientation,
     ),
-    _singleton(
+    _universal(
         "prop-4.4-orient-locally-zero",
         "the orient factor is locally zero",
-        _orient_table, _locally_zero,
+        lambda t, z: _locally_zero(t), cases=_one(_orient_table),
     ),
-    _singleton(
+    _universal(
         "cor-4.5-orient-unit",
         "the orient factor squares to the identity",
-        _orient_table, lambda o: _is_identity(_compose(o, o)),
+        lambda t, z: _is_identity(_compose(t, t)), cases=_one(_orient_table),
     ),
     _universal(
         "thm-4.3.1-orient-skew",
@@ -758,10 +747,10 @@ CLAIMS = [
         "with the table gives its skew factor",
         lambda t, z: _is_identity(_skew(o := _orient_table(len(t)))) and _compose(o, t) == _skew(t),
     ),
-    _singleton(
+    _universal(
         "thm-4.3.3-right-zero-j-composite",
         "the right projection table is composite through orient and skew both ways",
-        _right_zero_table, lambda r: _classify(r, None).j_composite,
+        lambda t, z: _classify(t, z).j_composite, cases=_one(_right_zero_table),
         min_order=3,  # at order 2 its skew factor is the identity
     ),
     _universal(
@@ -778,33 +767,34 @@ CLAIMS = [
         "is composite through orient and skew",
         lambda t, z: (r := _classify(t, z)).signature_prime and r.oj_composite,
         hypothesis=lambda t, z: t == _semi_neutral_table(len(t), z) and not _is_identity(t),
-        needs_zero=True,
+        cases=_zeroed,
     ),
     _universal(
         "cor-5.2-semi-neutral-semi-normal",
         "a non-trivial semi-neutral table is semi-normal",
         lambda t, z: _classify(t, z).semi_normal,
         hypothesis=lambda t, z: t == _semi_neutral_table(len(t), z) and not _is_identity(t),
-        needs_zero=True,
+        cases=_zeroed,
     ),
-    Claim(
+    _universal(
         "prop-5.3-semi-neutral-product",
         "the composite of the semi-neutral table with itself is semi-neutral",
-        "pass", _run_semi_neutral_product,
+        lambda t, z: _compose(t, t) == t,
+        cases=lambda ctx: ((_semi_neutral_table(ctx.order, z), z) for z in range(ctx.order)),
     ),
     _universal(
         "prop-5.4-b1-similar-semi-neutral",
         "when the diagonal is constantly zero the similar factor is semi-neutral",
         lambda t, z: _similar(t) == _semi_neutral_table(len(t), z),
         hypothesis=lambda t, z: _ax_b1(t, len(t), z),
-        needs_zero=True,
+        cases=_zeroed,
     ),
     _universal(
         "cor-5.5-strong-b1-semi-normal",
         "a strong table with constantly-zero diagonal is semi-normal",
         lambda t, z: _classify(t, z).semi_normal,
         hypothesis=lambda t, z: _ax_b1(t, len(t), z) and _strong(t),
-        needs_zero=True,
+        cases=_zeroed,
         min_order=2,  # at order 1 both derived factors are semi-neutral
     ),
     _universal(
@@ -814,7 +804,7 @@ CLAIMS = [
         lambda t, z: _classify(t, z).semi_composite,
         hypothesis=lambda t, z: _ax_b1(t, len(t), z) and _strong(t)
         and t != _semi_neutral_table(len(t), z),
-        needs_zero=True,
+        cases=_zeroed,
     ),
     _universal(
         "prop-5.9-magma",
@@ -841,9 +831,12 @@ _ACTIVE_CTX: ClaimContext | None = None
 
 
 def _run_claim(claim_id):
+    claim, ctx = REGISTRY[claim_id], _ACTIVE_CTX
     start = time.perf_counter()
-    checked, cexs, note = REGISTRY[claim_id].runner(_ACTIVE_CTX)
-    return claim_id, checked, cexs, note, time.perf_counter() - start
+    checked, cexs, note = claim.runner(ctx)
+    report = ClaimReport(claim.id, claim.statement, ctx.order, ctx.mode, checked,
+                         not cexs, claim.expected, tuple(cexs), note)
+    return report, time.perf_counter() - start
 
 
 def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None):
@@ -856,7 +849,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     each claim's checked count and time, at DEBUG.
     """
     global _ACTIVE_CTX
-    _require_order(order)
+    order = _positive(order)
     if claims is None:
         selected = list(CLAIMS)
     else:
@@ -871,14 +864,11 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
                 f"{EXHAUSTIVE_ORDER_LIMIT}; pass a sample count instead"
             )
         mode = "exhaustive"
-        samples = None
         start = time.perf_counter()
-        _all_tables(order)  # warm the cache before any fork
+        samples = _all_tables(order)  # the cache is built before any fork
         _debug("order-%d table cache ready in %.3f s", order, time.perf_counter() - start)
     else:
-        sample = int(sample)
-        if sample < 1:
-            raise PreconditionError("sample count must be >= 1")
+        sample = _positive(sample, "sample count")
         mode = "sampled"
         if seed is None:
             seed = 0
@@ -886,7 +876,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         samples = tuple(_random_tables(order, sample, seed))
         _debug("drew %d order-%d tables in %.3f s", sample, order, time.perf_counter() - start)
     ctx = ClaimContext(order, mode, seed=seed, samples=samples)
-    weight = (table_count(order) if samples is None else len(samples)) * len(selected)
+    weight = len(samples) * len(selected)
     workers = _resolve_workers(workers, weight)
     _ACTIVE_CTX = ctx
     try:
@@ -897,19 +887,6 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
                 raw = pool.map(_run_claim, [c.id for c in selected])
     finally:
         _ACTIVE_CTX = None
-    reports = []
-    for claim, (cid, checked, cexs, note, elapsed) in zip(selected, raw):
-        assert claim.id == cid
-        _debug("claim %s: %d checked in %.3f s", cid, checked, elapsed)
-        reports.append(ClaimReport(
-            claim=claim.id,
-            statement=claim.statement,
-            order=order,
-            mode=mode,
-            checked=checked,
-            passed=not cexs,
-            expected=claim.expected,
-            counterexamples=tuple(cexs),
-            note=note,
-        ))
-    return reports
+    for report, elapsed in raw:
+        _debug("claim %s: %d checked in %.3f s", report.claim, report.checked, elapsed)
+    return [report for report, _ in raw]

@@ -112,26 +112,23 @@ def _dot_name(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(graph: SimpleGraph, labels=None) -> str:
-    names = list(labels) if labels else [str(i) for i in range(graph.order)]
-    out = ["graph {"]
+def _to_dot(keyword: str, op: str, order: int, pairs, labels) -> str:
+    names = list(labels) if labels else [str(i) for i in range(order)]
+    out = [keyword + " {"]
     for name in names:
         out.append(f"  {_dot_name(name)};")
-    for x, y in sorted(graph.edges):
-        out.append(f"  {_dot_name(names[x])} -- {_dot_name(names[y])};")
+    for x, y in sorted(pairs):
+        out.append(f"  {_dot_name(names[x])} {op} {_dot_name(names[y])};")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def graph_to_dot(graph: SimpleGraph, labels=None) -> str:
+    return _to_dot("graph", "--", graph.order, graph.edges, labels)
 
 
 def digraph_to_dot(digraph: Digraph, labels=None) -> str:
-    names = list(labels) if labels else [str(i) for i in range(digraph.order)]
-    out = ["digraph {"]
-    for name in names:
-        out.append(f"  {_dot_name(name)};")
-    for x, y in sorted(digraph.arcs):
-        out.append(f"  {_dot_name(names[x])} -> {_dot_name(names[y])};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return _to_dot("digraph", "->", digraph.order, digraph.arcs, labels)
 
 
 _DOT_TOKEN = re.compile(

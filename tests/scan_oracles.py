@@ -12,14 +12,16 @@ pairs that compose to the target.  ``randrange_tables`` is the
 cell-by-cell generator behind ``random_groupoids`` before it drew its
 cells in blocks.  ``sweep_census`` is ``census`` before its counts were
 taken by swap-orbit decomposition: it classifies every table of the order
-(order <= 3).
+(order <= 3).  ``census_per_pair`` is the decomposition before its pairs
+were grouped into two classes: a product over every pair x < y.
 """
 
 import itertools
+import math
 import random
 
 from binsys import OrderTooLarge, all_groupoids, classify, commutes, left_zero, product
-from binsys.enumeration import CENSUS_KEYS
+from binsys.enumeration import CENSUS_KEYS, _census_terms, _pair_atoms
 from binsys.errors import EXHAUSTIVE_ORDER_LIMIT
 from binsys.factorization import _orient_table
 from binsys.semigroup import _compose
@@ -130,4 +132,24 @@ def sweep_census(order):
         flags = {**report.predicates, **vars(report)}
         for key in CENSUS_KEYS:
             counts[key] += flags[key]
+    return counts
+
+
+def census_per_pair(order):
+    """The census counts of an order, as a product over every pair x < y
+    of its per-pair count of value pairs, for each diagonal fixed-point
+    count k."""
+    n = order
+    pairs = list(itertools.combinations(range(n), 2))
+    terms = _census_terms(n)
+    counts = dict.fromkeys(CENSUS_KEYS, 0)
+    for k in range(n + 1):
+        diagonals = math.comb(n, k) * (n - 1) ** (n - k)
+        atoms = [[_pair_atoms(n, x, y, a, b, range(k)) for a in range(n) for b in range(n)]
+                 for x, y in pairs]
+        for key in CENSUS_KEYS:
+            counts[key] += sum(
+                sign * diagonals * math.prod(sum(v & mask == mask for v in p) for p in atoms)
+                for sign, ks, mask in terms[key] if k in ks
+            )
     return counts

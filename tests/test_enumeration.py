@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import tables
-from scan_oracles import randrange_tables, sweep_census
+from scan_oracles import census_per_pair, randrange_tables, sweep_census
 from binsys import enumeration, semigroup
 from binsys import (
     CLAIMS,
@@ -45,10 +45,23 @@ class TestAllGroupoids:
         with pytest.raises(OrderTooLarge):
             list(all_groupoids(4))
 
-    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("order", [0, -1, 2.5, 2.0, "2"])
     def test_order_below_one(self, order):
-        with pytest.raises(PreconditionError):
+        # a non-integer is refused, not truncated, and named
+        with pytest.raises(PreconditionError) as exc:
             all_groupoids(order)
+        assert repr(order) in str(exc.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tables_regroup_the_flat_product(self, n):
+        # ascending row-major: the flat cell tuples cut into rows
+        flat = itertools.product(range(n), repeat=n * n)
+        expected = tuple(tuple(f[i * n:(i + 1) * n] for i in range(n)) for f in flat)
+        got = enumeration._all_tables(n)
+        assert got == expected
+        if n == 3:
+            # the 19,683 tables share the 27 row tuples
+            assert len({id(row) for t in got for row in t}) == 27
 
     def test_cache_returns_fresh_iterators(self):
         first = list(all_groupoids(2))
@@ -57,6 +70,12 @@ class TestAllGroupoids:
 
 
 class TestRandomGroupoids:
+    @pytest.mark.parametrize("order", [0, -1, 2.5, 2.0])
+    def test_order_below_one(self, order):
+        with pytest.raises(PreconditionError) as exc:
+            next(random_groupoids(order, 1, 0))
+        assert repr(order) in str(exc.value)
+
     def test_deterministic(self):
         a = list(random_groupoids(4, 10, seed=5))
         b = list(random_groupoids(4, 10, seed=5))
@@ -157,10 +176,15 @@ class TestCensus:
         )
         assert rep.counts["au_holds"] == rep.counts["oj_holds"] == rep.total
 
-    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("order", [0, -1, 2.5, 3.0])
     def test_order_below_one(self, order):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             census(order)
+        assert repr(order) in str(exc.value)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pair_classes_match_per_pair_product(self, n):
+        assert census(n).counts == census_per_pair(n)
 
     def test_worker_count_does_not_change_results(self):
         assert census(2, workers=3).counts == tables.CENSUS2
@@ -276,11 +300,12 @@ class TestVerifyClaims:
         with pytest.raises(OrderTooLarge):
             verify_claims(4)
 
-    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("order", [0, -1, 2.5, 4.0])
     @pytest.mark.parametrize("sample", [None, 5])
     def test_order_below_one(self, order, sample):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             verify_claims(order, sample=sample)
+        assert repr(order) in str(exc.value)
 
     def test_sampled_mode(self):
         reports = verify_claims(4, sample=200, seed=3)
@@ -305,6 +330,13 @@ class TestVerifyClaims:
     def test_bad_sample_count(self):
         with pytest.raises(PreconditionError):
             verify_claims(4, sample=0)
+
+    @pytest.mark.parametrize("sample", [2.7, 3.0, "3"])
+    def test_non_integer_sample_count(self, sample):
+        # a non-integer count is refused and named, never truncated
+        with pytest.raises(PreconditionError) as exc:
+            verify_claims(4, sample=sample)
+        assert repr(sample) in str(exc.value)
 
     def test_min_order_notes(self):
         reports = {r.claim: r for r in verify_claims(1)}
@@ -343,9 +375,10 @@ class TestVerifyClaims:
             return z != 0
 
         claim = enumeration._universal(
-            "zero-one-fails", "", lambda t, z: z != 1, hypothesis, needs_zero=True,
+            "zero-one-fails", "", lambda t, z: z != 1, hypothesis, cases=enumeration._zeroed,
         )
-        checked, cexs, _ = claim.runner(enumeration.ClaimContext(2, "exhaustive"))
+        ctx = enumeration.ClaimContext(2, "exhaustive", samples=enumeration._all_tables(2))
+        checked, cexs, _ = claim.runner(ctx)
         pool = [g.table for g in all_groupoids(2)]
         assert seen == [(t, z) for t in pool for z in (0, 1)]
         assert all(type(t) is tuple for t, _ in seen)

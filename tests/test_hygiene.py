@@ -96,6 +96,14 @@ def test_traced_claims_match_registry():
     assert _perfbench_layers().CLAIM_IDS == tuple(REGISTRY)
 
 
+def test_claim_runners_are_instance_fields():
+    # the traced run rebinds vars(claim)["runner"]; a runner that became a
+    # method would escape the span without failing anything else
+    from binsys.enumeration import CLAIMS
+
+    assert all(callable(vars(c).get("runner")) for c in CLAIMS)
+
+
 def eager_exports() -> dict[str, str]:
     """Name -> module for each name ``__init__.py`` imports at load time."""
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
