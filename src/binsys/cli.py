@@ -18,7 +18,7 @@ import os
 import sys
 
 from .core import is_locally_zero
-from .errors import PreconditionError, ValidationError
+from .errors import EXHAUSTIVE_ORDER_LIMIT, PreconditionError, ValidationError
 from .factorization import METHODS, classify, factorize
 from .fileformat import (
     digraph_to_dot,
@@ -200,7 +200,9 @@ def _build_parser():
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser(
-        "enumerate", help="list all tables of an order (at most 3), or count them by flag"
+        "enumerate",
+        help=f"list all tables of an order (at most {EXHAUSTIVE_ORDER_LIMIT}), "
+        "or count them by flag",
     )
     p.add_argument("--order", type=int, required=True)
     p.add_argument(

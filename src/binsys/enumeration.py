@@ -62,15 +62,13 @@ from .core import (
 from .axioms import _ax_b1, _ax_co
 from .errors import EXHAUSTIVE_ORDER_LIMIT, OrderTooLarge, PreconditionError
 from .factorization import (
-    _au_holds,
-    _jo_holds,
-    _oj_holds,
+    _CHOICES,
+    _holds,
     _orient_table,
     _signature,
     _similar,
     _skew,
     _solution_count,
-    _ua_holds,
     classify,
 )
 from .graphs import _graph_table, all_graphs
@@ -98,14 +96,14 @@ def _debug(message: str, *args) -> None:
         logging.getLogger("binsys").debug(message, *args)
 
 
-def _positive(value, what="order") -> int:
-    """An order or a sample count as an int >= 1, else PreconditionError."""
+def _positive(value, what="order", least=1) -> int:
+    """An order or a count as an int >= least, else PreconditionError."""
     try:
         count = operator.index(value)
     except TypeError:
         raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise PreconditionError(f"{what} must be >= 1, got {count}")
+    if count < least:
+        raise PreconditionError(f"{what} must be >= {least}, got {count}")
     return count
 
 
@@ -167,6 +165,7 @@ def random_groupoids(order: int, count: int, seed=None):
     """``count`` i.i.d. uniform tables; cells drawn row-major, each the
     next ``random.Random(seed).randrange(order)`` value."""
     order = _positive(order)
+    count = _positive(count, "count", least=0)
     for t in _random_tables(order, count, seed):
         yield Groupoid(t)
 
@@ -199,8 +198,7 @@ def _resolve_workers(workers, weight):
                 ) from None
         else:
             workers = os.cpu_count() or 1
-    if workers < 1:
-        raise PreconditionError("worker count must be >= 1")
+    workers = _positive(workers, "worker count")
     if weight < 2048 or _fork_context() is None:
         return 1
     return workers
@@ -510,8 +508,8 @@ def _classify(t, z):
 def _unique(method):
     """The method's derived pair reproduces t and is its only in-shape pair."""
     # a forced method's count is 1 only when its derived pair reproduces t
-    reproduces = {"ua": _ua_holds, "jo": _jo_holds}.get(method, lambda t: True)
-    return lambda t, z: _solution_count(t, method) == 1 and reproduces(t)
+    forced = method not in _CHOICES
+    return lambda t, z: _solution_count(t, method) == 1 and (forced or _holds(t, method))
 
 
 def _is_abelian_group(t):
@@ -622,7 +620,7 @@ CLAIMS = [
     _universal(
         "thm-3.1.3-strong-ua",
         "signature times similar reproduces every strong table",
-        lambda t, z: _ua_holds(t), hypothesis=lambda t, z: _strong(t),
+        lambda t, z: _holds(t, "ua"), hypothesis=lambda t, z: _strong(t),
     ),
     _universal(
         "cor-3.1.4-ua-unique",
@@ -633,7 +631,7 @@ CLAIMS = [
     _universal(
         "thm-3.2.3-au-universal",
         "similar times signature reproduces every table",
-        lambda t, z: _au_holds(t),
+        lambda t, z: _holds(t, "au"),
     ),
     _universal(
         "cor-3.2.4-au-unique",
@@ -643,7 +641,7 @@ CLAIMS = [
     _universal(
         "cor-3.2.5-strong-u-normal",
         "strong tables factor both ways through signature and similar",
-        lambda t, z: _ua_holds(t) and _au_holds(t),
+        lambda t, z: _holds(t, "ua") and _holds(t, "au"),
         hypothesis=lambda t, z: _strong(t),
     ),
     _universal(
@@ -654,13 +652,14 @@ CLAIMS = [
     _universal(
         "prop-3.2.7-prime-implies-u-normal",
         "a table whose signature or similar factor is trivial factors both ways",
-        lambda t, z: _ua_holds(t) and _au_holds(t),
+        lambda t, z: _holds(t, "ua") and _holds(t, "au"),
         hypothesis=lambda t, z: _is_identity(_signature(t)) or _is_identity(_similar(t)),
     ),
     _universal(
         "prop-3.2.8-right-zero-similar-prime",
         "the right projection table has a trivial similar factor",
-        lambda t, z: _is_identity(_similar(t)) and _ua_holds(t), cases=_one(_right_zero_table),
+        lambda t, z: _is_identity(_similar(t)) and _holds(t, "ua"),
+        cases=_one(_right_zero_table),
     ),
     _universal(
         "prop-3.2.10-statement",
@@ -685,7 +684,7 @@ CLAIMS = [
         "cor-3.3.2-ua-refactor",
         "re-deriving both factors and composing again still reproduces the table (signature first)",
         lambda t, z: _compose(_signature(_signature(t)), _similar(_similar(t))) == t,
-        hypothesis=lambda t, z: _ua_holds(t),
+        hypothesis=lambda t, z: _holds(t, "ua"),
     ),
     _universal(
         "cor-3.3.3-au-refactor",
@@ -702,7 +701,7 @@ CLAIMS = [
     _universal(
         "thm-4.1.2-oj-universal",
         "orient times skew reproduces every table",
-        lambda t, z: _oj_holds(t),
+        lambda t, z: _holds(t, "oj"),
     ),
     _universal(
         "cor-4.1.3-oj-unique",
@@ -712,7 +711,7 @@ CLAIMS = [
     _universal(
         "thm-4.2.3-op-jo",
         "skew times orient reproduces every operand-valued table",
-        lambda t, z: _jo_holds(t), hypothesis=lambda t, z: _orientation(t),
+        lambda t, z: _holds(t, "jo"), hypothesis=lambda t, z: _orientation(t),
     ),
     _universal(
         "cor-4.2.4-jo-unique",
@@ -723,7 +722,7 @@ CLAIMS = [
     _universal(
         "prop-4.2.5-op-j-normal",
         "operand-valued tables factor both ways through orient and skew",
-        lambda t, z: _oj_holds(t) and _jo_holds(t),
+        lambda t, z: _holds(t, "oj") and _holds(t, "jo"),
         hypothesis=lambda t, z: _orientation(t),
     ),
     _closed(
@@ -810,7 +809,7 @@ CLAIMS = [
         "prop-5.9-magma",
         "no symmetric table of order at least 2 factors both ways through "
         "signature and similar",
-        lambda t, z: not (_ua_holds(t) and _au_holds(t)),
+        lambda t, z: not (_holds(t, "ua") and _holds(t, "au")),
         hypothesis=lambda t, z: _abelian(t),
         min_order=2,
         expected="fail",
@@ -819,7 +818,7 @@ CLAIMS = [
         "prop-5.9-group",
         "no abelian group table of order at least 2 factors both ways through "
         "signature and similar",
-        lambda t, z: not (_ua_holds(t) and _au_holds(t)),
+        lambda t, z: not (_holds(t, "ua") and _holds(t, "au")),
         hypothesis=lambda t, z: _is_abelian_group(t),
         min_order=2,
     ),

@@ -9,6 +9,11 @@ Two families of factorizations are supported, each in both orders:
   its anti-diagonal replaced by column indices (it depends only on the
   order); the skew factor transposes the target's anti-diagonal cells.
 
+``_PAIRS`` is the one method table: it maps each method to its (left,
+right) factor derivations on raw tables, and ``_FAMILIES`` pairs each
+method with its reverse.  ``METHODS``, the holds checks, ``classify`` and
+the uniqueness count all read it.
+
 For each method the derived pair is cheap to compute, and
 ``uniqueness_search`` counts *all* in-shape factorizations of a target by
 exploiting that the composite's cells depend on the candidate cells one
@@ -50,6 +55,10 @@ def _orient_table(order: int) -> Table:
     )
 
 
+def _orient(t: Table) -> Table:
+    return _orient_table(len(t))
+
+
 def _skew(t: Table) -> Table:
     n = len(t)
     return tuple([
@@ -89,6 +98,16 @@ def _orient_cell(n: int, a: int, b: int) -> int:
 
 # --- method registry ---
 
+# each method's (left, right) derivations; a family is a method and its reverse
+_PAIRS = {
+    "ua": (_signature, _similar),
+    "au": (_similar, _signature),
+    "oj": (_orient, _skew),
+    "jo": (_skew, _orient),
+}
+_FAMILIES = {"u": ("ua", "au"), "j": ("oj", "jo")}
+
+
 @dataclass(frozen=True)
 class FactorizationMethod:
     name: str
@@ -96,11 +115,12 @@ class FactorizationMethod:
     derive_right: callable
 
 
+# the Groupoid twin of each raw derivation
+_PUBLIC = {_signature: signature_factor, _similar: similar_factor,
+           _orient: orient_factor, _skew: skew_factor}
 METHODS = {
-    "ua": FactorizationMethod("ua", signature_factor, similar_factor),
-    "au": FactorizationMethod("au", similar_factor, signature_factor),
-    "oj": FactorizationMethod("oj", orient_factor, skew_factor),
-    "jo": FactorizationMethod("jo", skew_factor, orient_factor),
+    name: FactorizationMethod(name, _PUBLIC[left], _PUBLIC[right])
+    for name, (left, right) in _PAIRS.items()
 }
 
 
@@ -130,39 +150,26 @@ def factorize(g: Groupoid, method="ua") -> FactorPair:
     return FactorPair(m.name, lt, rt, comp, comp == g)
 
 
-# The four flags on raw tables.  classify passes the factors it has
-# already derived; every other caller lets the check derive them.
-
-def _ua_holds(t: Table, sig: Table | None = None, sim: Table | None = None) -> bool:
-    return _compose(sig or _signature(t), sim or _similar(t)) == t
-
-
-def _au_holds(t: Table, sig: Table | None = None, sim: Table | None = None) -> bool:
-    return _compose(sim or _similar(t), sig or _signature(t)) == t
-
-
-def _oj_holds(t: Table, skw: Table | None = None) -> bool:
-    return _compose(_orient_table(len(t)), skw or _skew(t)) == t
-
-
-def _jo_holds(t: Table, skw: Table | None = None) -> bool:
-    return _compose(skw or _skew(t), _orient_table(len(t))) == t
+def _holds(t: Table, method: str) -> bool:
+    """Does the method's derived pair compose back to t?"""
+    left, right = _PAIRS[method]
+    return _compose(left(t), right(t)) == t
 
 
 def ua_holds(g: Groupoid) -> bool:
-    return _ua_holds(g.table)
+    return _holds(g.table, "ua")
 
 
 def au_holds(g: Groupoid) -> bool:
-    return _au_holds(g.table)
+    return _holds(g.table, "au")
 
 
 def oj_holds(g: Groupoid) -> bool:
-    return _oj_holds(g.table)
+    return _holds(g.table, "oj")
 
 
 def jo_holds(g: Groupoid) -> bool:
-    return _jo_holds(g.table)
+    return _holds(g.table, "jo")
 
 
 # --- classification ---
@@ -204,51 +211,34 @@ class ClassificationReport:
 
 
 def classify(g: Groupoid) -> ClassificationReport:
-    """Evaluate every predicate and factorization flag for one table."""
+    """Evaluate every predicate and factorization flag for one table.
+
+    Each factor is derived once; the flags follow ``_PAIRS`` and ``_FAMILIES``."""
     t = g.table
-    sig, sim, ori, skw = _signature(t), _similar(t), _orient_table(g.order), _skew(t)
-    ua, au = _ua_holds(t, sig, sim), _au_holds(t, sig, sim)
-    oj, jo = _oj_holds(t, skw), _jo_holds(t, skw)
     ident = _left_zero_table(g.order)
-    sig_p, sim_p = sig == ident, sim == ident
-    ori_p, skw_p = ori == ident, skw == ident
-    ua_c = ua and not sig_p and not sim_p
-    au_c = au and not sig_p and not sim_p
-    oj_c = oj and not ori_p and not skw_p
-    jo_c = jo and not ori_p and not skw_p
-    u_n, j_n = ua and au, oj and jo
-    u_c, j_c = ua_c and au_c, oj_c and jo_c
-    if g.zero is None:
-        semi_n = semi_c = None
-    else:
-        # "exactly one factor is semi-neutral", on whichever side pairs up;
-        # the derived factors inherit g's zero
-        semi = _semi_neutral_table(g.order, g.zero)
-        one_u = (sig == semi) != (sim == semi)
-        one_j = (ori == semi) != (skw == semi)
-        semi_n = (u_n and one_u) or (j_n and one_j)
-        semi_c = (u_c and one_u) or (j_c and one_j)
+    factor = {_signature: _signature(t), _similar: _similar(t),
+              _orient: _orient(t), _skew: _skew(t)}
+    holds, composite = {}, {}
+    for m, (left, right) in _PAIRS.items():
+        lt, rt = factor[left], factor[right]
+        holds[m] = h = _compose(lt, rt) == t
+        composite[m] = h and lt != ident and rt != ident
+    # the derived factors inherit g's zero
+    semi = None if g.zero is None else _semi_neutral_table(g.order, g.zero)
+    semi_n = semi_c = None if semi is None else False
+    normal, joint = {}, {}
+    for family, (m, r) in _FAMILIES.items():
+        normal[family] = n = holds[m] and holds[r]
+        joint[family] = c = composite[m] and composite[r]
+        if semi is not None:
+            # "exactly one factor is semi-neutral", on whichever side pairs up
+            left, right = _PAIRS[m]
+            one = (factor[left] == semi) != (factor[right] == semi)
+            semi_n = semi_n or (n and one)
+            semi_c = semi_c or (c and one)
     return ClassificationReport(
-        order=g.order,
-        predicates=predicate_vector(g),
-        signature_prime=sig_p,
-        similar_prime=sim_p,
-        orient_prime=ori_p,
-        skew_prime=skw_p,
-        ua_holds=ua,
-        au_holds=au,
-        oj_holds=oj,
-        jo_holds=jo,
-        ua_composite=ua_c,
-        au_composite=au_c,
-        oj_composite=oj_c,
-        jo_composite=jo_c,
-        u_composite=u_c,
-        j_composite=j_c,
-        u_normal=u_n,
-        j_normal=j_n,
-        semi_normal=semi_n,
-        semi_composite=semi_c,
+        g.order, predicate_vector(g), *[table == ident for table in factor.values()],
+        *holds.values(), *composite.values(), *joint.values(), *normal.values(), semi_n, semi_c,
     )
 
 
@@ -320,17 +310,15 @@ def _jo_choices(t):
     return found
 
 
+# au and oj, with no entry here: every free cell is forced, so the derived
+# pair is the single in-shape solution; its correctness is a library invariant.
 _CHOICES = {"ua": _ua_choices, "jo": _jo_choices}
-
-# au and oj: every free cell is forced, so the derived pair is the single
-# in-shape solution; its correctness is a library invariant.
-_FORCED = {"au": _au_holds, "oj": _oj_holds}
 
 
 def _solution_count(t: Table, method: str) -> int:
     """How many in-shape factor pairs of the method compose to t."""
-    if method in _FORCED:
-        if not _FORCED[method](t):
+    if method not in _CHOICES:
+        if not _holds(t, method):
             raise InternalError(
                 f"forced {method} factorization failed to reproduce the target"
             )
@@ -341,7 +329,7 @@ def _solution_count(t: Table, method: str) -> int:
 def _left_solutions(t, left, method):
     """The left factors of the first MATERIALIZE_LIMIT solutions: ``left``
     (the derived one) with each combination of pair choices written in."""
-    if method in _FORCED:
+    if method not in _CHOICES:
         return [left]
     found = _CHOICES[method](t)
     table = [list(row) for row in left]

@@ -76,6 +76,14 @@ class TestRandomGroupoids:
             next(random_groupoids(order, 1, 0))
         assert repr(order) in str(exc.value)
 
+    @pytest.mark.parametrize("count", [-1, -5, 2.5, 2.0, "3", None])
+    def test_bad_count(self, count):
+        # a count below 0 or not an integer is refused and named
+        with pytest.raises(PreconditionError) as exc:
+            next(random_groupoids(2, count, 0))
+        assert repr(count) in str(exc.value)
+        assert str(exc.value).startswith("count must be")
+
     def test_deterministic(self):
         a = list(random_groupoids(4, 10, seed=5))
         b = list(random_groupoids(4, 10, seed=5))
@@ -108,7 +116,8 @@ class TestRandomTablesMatchRandrange:
         for count in (-1, 0, 1, block - 1, block, block + 1, 3 * block + 2):
             expected = list(randrange_tables(order, count, seed))
             assert list(enumeration._random_tables(order, count, seed)) == expected
-            assert [g.table for g in random_groupoids(order, count, seed)] == expected
+            if count >= 0:  # random_groupoids refuses a negative count
+                assert [g.table for g in random_groupoids(order, count, seed)] == expected
 
     @pytest.mark.parametrize("seed", [1, "x"])
     def test_order_above_a_byte(self, seed):
@@ -330,6 +339,14 @@ class TestVerifyClaims:
     def test_bad_sample_count(self):
         with pytest.raises(PreconditionError):
             verify_claims(4, sample=0)
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2"])
+    def test_bad_worker_count(self, workers):
+        # refused and named before any claim runs, as a bad sample count is
+        with pytest.raises(PreconditionError) as exc:
+            verify_claims(2, workers=workers)
+        assert repr(workers) in str(exc.value)
+        assert str(exc.value).startswith("worker count must be")
 
     @pytest.mark.parametrize("sample", [2.7, 3.0, "3"])
     def test_non_integer_sample_count(self, sample):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -11,6 +12,7 @@ from binsys.factorization import MATERIALIZE_LIMIT, _solution_count
 from binsys.semigroup import _compose
 from binsys import (
     METHODS,
+    ClassificationReport,
     InternalError,
     OrderMismatch,
     OrderTooLarge,
@@ -113,6 +115,25 @@ class TestAntiDiagonalFactors:
 class TestFactorize:
     def test_method_registry(self):
         assert set(METHODS) == {"ua", "au", "oj", "jo"}
+
+    def test_methods_follow_the_method_table(self):
+        # METHODS derives the Groupoid twins of the raw pairs in _PAIRS,
+        # and the report has a flag per method and per family, in the
+        # order classify fills them from the two tables
+        pairs, families = factorization._PAIRS, factorization._FAMILIES
+        assert set(pairs) == set(METHODS)
+        assert sorted(m for methods in families.values() for m in methods) == sorted(pairs)
+        samples = [groupoid(t) for t in (tables.BCK3, tables.OP4, tables.LOC6, tables.RAND5)]
+        for method, (left, right) in pairs.items():
+            m = METHODS[method]
+            for g in [*all_groupoids(2), *samples]:
+                assert m.derive_left(g).table == left(g.table), (method, g)
+                assert m.derive_right(g).table == right(g.table), (method, g)
+        names = [f.name for f in dataclasses.fields(ClassificationReport)]
+        assert names[6:18] == (
+            [f"{m}_holds" for m in pairs] + [f"{m}_composite" for m in pairs]
+            + [f"{f}_composite" for f in families] + [f"{f}_normal" for f in families]
+        )
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -357,12 +378,14 @@ class TestSolutionCount:
         assert all(rt == rep.derived.right for _, rt in rep.solutions)
 
     def test_forced_failure_is_an_invariant_breach(self, monkeypatch):
-        monkeypatch.setitem(factorization._FORCED, "oj", lambda t: False)
+        # a pair of identity maps composes the right projection table into
+        # the left one, so the forced oj pair no longer reproduces it
+        monkeypatch.setitem(factorization._PAIRS, "oj", (lambda t: t, lambda t: t))
         message = "forced oj factorization failed to reproduce the target"
         with pytest.raises(InternalError, match=message):
-            _solution_count(((0,),), "oj")
+            _solution_count(right_zero(2).table, "oj")
         with pytest.raises(InternalError, match=message):
-            uniqueness_search(left_zero(1), "oj")
+            uniqueness_search(right_zero(2), "oj")
 
 
 class TestBinaryEquivalent:

@@ -52,9 +52,9 @@ def test_detects_unused_import():
     assert unused_imports(source) == ["left_zero", "os"]
 
 
-def _perfbench_layers():
+def _perfbench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_layers", ROOT / "perfbench" / "layers.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -64,7 +64,7 @@ def _perfbench_layers():
 def test_traced_layers_resolve():
     missing = [
         f"{layer}.{name}"
-        for layer, names in _perfbench_layers().LAYERS.items()
+        for layer, names in _perfbench_module("layers").LAYERS.items()
         for name, _ in names
         if not callable(getattr(importlib.import_module(f"binsys.{layer}"), name, None))
     ]
@@ -93,7 +93,7 @@ def test_traced_claims_match_registry():
     # drops, renames or reorders a claim would silently lose or shift one
     from binsys.enumeration import REGISTRY
 
-    assert _perfbench_layers().CLAIM_IDS == tuple(REGISTRY)
+    assert _perfbench_module("layers").CLAIM_IDS == tuple(REGISTRY)
 
 
 def test_claim_runners_are_instance_fields():
@@ -102,6 +102,23 @@ def test_claim_runners_are_instance_fields():
     from binsys.enumeration import CLAIMS
 
     assert all(callable(vars(c).get("runner")) for c in CLAIMS)
+
+
+def test_traced_sampled_run_records_calls():
+    # perfbench/selftest.py fails a workload whose traced run records no
+    # call at all; a sampled verify that never reaches a wrapped function
+    # or a Groupoid construction would pass every other test
+    layers, workloads = _perfbench_module("layers"), _perfbench_module("workloads")
+    work = workloads.Sampled(binsys, 7, tiny=True)
+    gate = workloads.Gate(workloads.load_goldens())
+    tracer = layers.Tracer()
+    restore = layers.install(tracer)
+    try:
+        work.run(next(work.ops()), gate, workers=1, tracer=tracer)
+    finally:
+        restore()
+    assert gate.failed == 0
+    assert any(tracer.calls[name] for name in layers.span_names())
 
 
 def eager_exports() -> dict[str, str]:
