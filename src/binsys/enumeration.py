@@ -163,11 +163,11 @@ def _random_tables(order: int, count: int, seed=None):
 
 def random_groupoids(order: int, count: int, seed=None):
     """``count`` i.i.d. uniform tables; cells drawn row-major, each the
-    next ``random.Random(seed).randrange(order)`` value."""
+    next ``random.Random(seed).randrange(order)`` value.  The arguments
+    are checked at the call; each Groupoid is built as it is drawn."""
     order = _positive(order)
     count = _positive(count, "count", least=0)
-    for t in _random_tables(order, count, seed):
-        yield Groupoid(t)
+    return map(Groupoid, _random_tables(order, count, seed))
 
 
 def _fork_context():

@@ -78,9 +78,10 @@ class TestRandomGroupoids:
 
     @pytest.mark.parametrize("count", [-1, -5, 2.5, 2.0, "3", None])
     def test_bad_count(self, count):
-        # a count below 0 or not an integer is refused and named
+        # a count below 0 or not an integer is refused and named at the
+        # call, before anything is drawn
         with pytest.raises(PreconditionError) as exc:
-            next(random_groupoids(2, count, 0))
+            random_groupoids(2, count, 0)
         assert repr(count) in str(exc.value)
         assert str(exc.value).startswith("count must be")
 
