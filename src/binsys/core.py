@@ -223,8 +223,11 @@ def _orientation(t: Table) -> bool:
 
 
 def _locally_zero(t: Table) -> bool:
-    # x∘y and y∘x both land on an operand and differ: the pair is (x, y) or (y, x)
-    return _orientation(t) and _strong(t)
+    # an idempotent diagonal, and each pair x < y is a projection table
+    n = len(t)
+    return _idempotent(t) and all(
+        (t[x][y], t[y][x]) in ((x, y), (y, x)) for x in range(n) for y in range(x + 1, n)
+    )
 
 
 def _twisted_orientation(t: Table) -> bool:

@@ -24,7 +24,7 @@ from binsys import (
 )
 from binsys import core
 from binsys.factorization import _signature, _similar, _skew
-from binsys.semigroup import _compose
+from binsys.semigroup import _compose, _kernel
 from reference_kernel import (
     REF_PREDICATES,
     ref_classify_by_zero,
@@ -78,6 +78,35 @@ class TestComposeMatchesReference:
         for _ in range(2000):
             gt, ht = rng.choice(pool), rng.choice(pool)
             assert _compose(gt, ht) == ref_compose(gt, ht)
+
+
+class TestGeneratedKernel:
+    """``_compose`` runs the kernel generated for its order: one compile per
+    order, the tuple-of-tuples shape down to order 1, and the reference
+    product above the orders the other tests reach."""
+
+    def test_order_one_shape(self):
+        composed = _compose(((0,),), ((0,),))
+        assert composed == ((0,),)
+        assert type(composed) is tuple and type(composed[0]) is tuple
+
+    @pytest.mark.parametrize("order", [1, 3, 9])
+    def test_compiled_once_per_order(self, order):
+        assert _kernel(order) is _kernel(order)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_orders_nine_to_sixteen(self, data):
+        n = data.draw(st.integers(9, 16))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = random.Random(seed)
+        gt, ht = (
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+            for _ in range(2)
+        )
+        composed = _compose(gt, ht)
+        assert core._is_frozen(composed)
+        assert composed == ref_compose(gt, ht)
 
 
 class TestKernelsFrozen:
