@@ -2,6 +2,8 @@
 
 Every axiom is a universally quantified identity (or implication) over the
 groupoid's elements, most of them referencing a distinguished element 0.
+An ``Axiom`` holds it as data, ``law(t, z, *elements)`` at one tuple of
+``arity`` elements; ``Axiom.check`` is the one quantifier over all tuples.
 ``axiom_vector`` evaluates all of them; ``algebra_classes`` names the
 standard axiom bundles a table satisfies.
 """
@@ -9,7 +11,8 @@ standard axiom bundles a table satisfies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as tuples
+from functools import partial
+from itertools import product as tuples, starmap
 
 from .core import Groupoid, _strong, is_semi_neutral
 from .errors import MissingZero
@@ -20,129 +23,47 @@ class Axiom:
     name: str
     needs_zero: bool
     description: str
-    check: callable
+    arity: int
+    law: callable
+
+    def check(self, t, n, z) -> bool:
+        """Whether the law holds at every ``arity``-tuple of the n elements
+        of raw table t, with z the zero (None where the law needs none)."""
+        return all(starmap(partial(self.law, t, z), tuples(range(n), repeat=self.arity)))
 
 
-def _ax_b1(t, n, z):
-    return all(t[x][x] == z for x in range(n))
-
-
-def _ax_b2(t, n, z):
-    return all(t[x][z] == x for x in range(n))
-
-
-def _ax_b(t, n, z):
-    return all(
-        t[t[x][y]][w] == t[x][t[w][t[z][y]]]
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_bg(t, n, z):
-    return all(t[t[x][y]][t[z][y]] == x for x, y in tuples(range(n), repeat=2))
-
-
-def _ax_bm(t, n, z):
-    return all(
-        t[t[w][x]][t[w][y]] == t[y][x]
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_bh(t, n, z):
-    return all(
-        x == y
-        for x, y in tuples(range(n), repeat=2)
-        if t[x][y] == z and t[y][x] == z
-    )
-
-
-def _ax_bf(t, n, z):
-    return all(t[z][t[x][y]] == t[y][x] for x, y in tuples(range(n), repeat=2))
-
-
-def _ax_bn(t, n, z):
-    return all(
-        t[t[x][y]][w] == t[t[z][w]][t[y][x]]
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_bo(t, n, z):
-    return all(
-        t[x][t[y][w]] == t[t[x][y]][t[z][w]]
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_bp1(t, n, z):
-    return all(t[x][t[x][y]] == y for x, y in tuples(range(n), repeat=2))
-
-
-def _ax_bp2(t, n, z):
-    return all(
-        t[t[x][w]][t[y][w]] == t[x][y]
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_q(t, n, z):
-    return all(
-        t[t[x][y]][w] == t[t[x][w]][y]
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_co(t, n, z):
-    return all(
-        t[t[x][y]][w] == t[x][t[y][w]]
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_bz(t, n, z):
-    return all(
-        t[t[t[x][w]][t[y][w]]][t[x][y]] == z
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_k(t, n, z):
-    return all(t[z][x] == z for x in range(n))
-
-
-def _ax_i(t, n, z):
-    return all(
-        t[t[t[x][y]][t[x][w]]][t[w][y]] == z
-        for x, y, w in tuples(range(n), repeat=3)
-    )
-
-
-def _ax_bi(t, n, z):
-    return all(t[x][t[y][x]] == x for x, y in tuples(range(n), repeat=2))
-
-
-# In the formulas below 0 is the distinguished element and ∘ the table.
-AXIOMS = {
-    "B1": Axiom("B1", True, "x∘x = 0", _ax_b1),
-    "B2": Axiom("B2", True, "x∘0 = x", _ax_b2),
-    "B": Axiom("B", True, "(x∘y)∘z = x∘(z∘(0∘y))", _ax_b),
-    "BG": Axiom("BG", True, "(x∘y)∘(0∘y) = x", _ax_bg),
-    "BM": Axiom("BM", False, "(z∘x)∘(z∘y) = y∘x", _ax_bm),
-    "BH": Axiom("BH", True, "x∘y = 0 and y∘x = 0 imply x = y", _ax_bh),
-    "BF": Axiom("BF", True, "0∘(x∘y) = y∘x", _ax_bf),
-    "BN": Axiom("BN", True, "(x∘y)∘z = (0∘z)∘(y∘x)", _ax_bn),
-    "BO": Axiom("BO", True, "x∘(y∘z) = (x∘y)∘(0∘z)", _ax_bo),
-    "BP1": Axiom("BP1", False, "x∘(x∘y) = y", _ax_bp1),
-    "BP2": Axiom("BP2", False, "(x∘z)∘(y∘z) = x∘y", _ax_bp2),
-    "Q": Axiom("Q", False, "(x∘y)∘z = (x∘z)∘y", _ax_q),
-    "CO": Axiom("CO", False, "(x∘y)∘z = x∘(y∘z)", _ax_co),
-    "BZ": Axiom("BZ", True, "((x∘z)∘(y∘z))∘(x∘y) = 0", _ax_bz),
-    "K": Axiom("K", True, "0∘x = 0", _ax_k),
-    "I": Axiom("I", True, "((x∘y)∘(x∘z))∘(z∘y) = 0", _ax_i),
-    "BI": Axiom("BI", False, "x∘(y∘x) = x", _ax_bi),
-    "STRONG": Axiom("STRONG", False, "x ≠ y implies x∘y ≠ y∘x", lambda t, n, z: _strong(t)),
-}
+# In the descriptions 0 is the distinguished element and ∘ the table; in
+# each law t is the table, z the zero, and w stands for the description's z.
+AXIOMS = {ax.name: ax for ax in (
+    Axiom("B1", True, "x∘x = 0", 1, lambda t, z, x: t[x][x] == z),
+    Axiom("B2", True, "x∘0 = x", 1, lambda t, z, x: t[x][z] == x),
+    Axiom("B", True, "(x∘y)∘z = x∘(z∘(0∘y))", 3,
+          lambda t, z, x, y, w: t[t[x][y]][w] == t[x][t[w][t[z][y]]]),
+    Axiom("BG", True, "(x∘y)∘(0∘y) = x", 2, lambda t, z, x, y: t[t[x][y]][t[z][y]] == x),
+    Axiom("BM", False, "(z∘x)∘(z∘y) = y∘x", 3,
+          lambda t, z, x, y, w: t[t[w][x]][t[w][y]] == t[y][x]),
+    Axiom("BH", True, "x∘y = 0 and y∘x = 0 imply x = y", 2,
+          lambda t, z, x, y: x == y or t[x][y] != z or t[y][x] != z),
+    Axiom("BF", True, "0∘(x∘y) = y∘x", 2, lambda t, z, x, y: t[z][t[x][y]] == t[y][x]),
+    Axiom("BN", True, "(x∘y)∘z = (0∘z)∘(y∘x)", 3,
+          lambda t, z, x, y, w: t[t[x][y]][w] == t[t[z][w]][t[y][x]]),
+    Axiom("BO", True, "x∘(y∘z) = (x∘y)∘(0∘z)", 3,
+          lambda t, z, x, y, w: t[x][t[y][w]] == t[t[x][y]][t[z][w]]),
+    Axiom("BP1", False, "x∘(x∘y) = y", 2, lambda t, z, x, y: t[x][t[x][y]] == y),
+    Axiom("BP2", False, "(x∘z)∘(y∘z) = x∘y", 3,
+          lambda t, z, x, y, w: t[t[x][w]][t[y][w]] == t[x][y]),
+    Axiom("Q", False, "(x∘y)∘z = (x∘z)∘y", 3, lambda t, z, x, y, w: t[t[x][y]][w] == t[t[x][w]][y]),
+    Axiom("CO", False, "(x∘y)∘z = x∘(y∘z)", 3,
+          lambda t, z, x, y, w: t[t[x][y]][w] == t[x][t[y][w]]),
+    Axiom("BZ", True, "((x∘z)∘(y∘z))∘(x∘y) = 0", 3,
+          lambda t, z, x, y, w: t[t[t[x][w]][t[y][w]]][t[x][y]] == z),
+    Axiom("K", True, "0∘x = 0", 1, lambda t, z, x: t[z][x] == z),
+    Axiom("I", True, "((x∘y)∘(x∘z))∘(z∘y) = 0", 3,
+          lambda t, z, x, y, w: t[t[t[x][y]][t[x][w]]][t[w][y]] == z),
+    Axiom("BI", False, "x∘(y∘x) = x", 2, lambda t, z, x, y: t[x][t[y][x]] == x),
+    # a whole-table test: its one case is the empty tuple
+    Axiom("STRONG", False, "x ≠ y implies x∘y ≠ y∘x", 0, lambda t, z: _strong(t)),
+)}
 
 
 def axiom_holds(g: Groupoid, name: str) -> bool:

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import chain
 from operator import eq, index as as_index
 
-from .errors import BadLabels, BadShape, BadZero, ClosureViolation, MissingZero
+from .errors import BadLabels, BadShape, BadZero, ClosureViolation, MissingZero, PreconditionError
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -39,6 +39,17 @@ def _zero_index(zero, order: int) -> int:
     except TypeError:
         pass
     raise BadZero(f"zero={zero} is not an element index")
+
+
+def _positive(value, what="order", least=1, error=PreconditionError) -> int:
+    """An order or a count as an int >= least, else ``error``."""
+    try:
+        count = as_index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if count < least:
+        raise error(f"{what} must be >= {least}, got {count}")
+    return count
 
 
 def _is_frozen(table) -> bool:
@@ -147,8 +158,7 @@ def _left_zero_table(order: int) -> Table:
 
 def left_zero(order: int, labels=None, zero=None) -> Groupoid:
     """The table with x∘y = x everywhere."""
-    if order < 1:
-        raise BadShape("order must be >= 1")
+    order = _positive(order, error=BadShape)
     return Groupoid(_left_zero_table(order), labels=labels, zero=zero)
 
 
@@ -158,8 +168,7 @@ def _right_zero_table(order: int) -> Table:
 
 def right_zero(order: int, labels=None, zero=None) -> Groupoid:
     """The table with x∘y = y everywhere."""
-    if order < 1:
-        raise BadShape("order must be >= 1")
+    order = _positive(order, error=BadShape)
     return Groupoid(_right_zero_table(order), labels=labels, zero=zero)
 
 
@@ -173,8 +182,7 @@ def _semi_neutral_table(order: int, zero: int) -> Table:
 
 def semi_neutral_groupoid(order: int, zero: int = 0, labels=None) -> Groupoid:
     """The unique semi-neutral table for a given zero: x∘x = zero, x∘y = x."""
-    if order < 1:
-        raise BadShape("order must be >= 1")
+    order = _positive(order, error=BadShape)
     zero = _zero_index(zero, order)
     return Groupoid(_semi_neutral_table(order, zero), labels=labels, zero=zero)
 

@@ -22,10 +22,13 @@ domain, ``ClaimContext.samples``, is every table of the order or a seeded
 sample.  A per-table claim (``_universal``) draws ``(t, z)`` cases, a raw
 table and the zero under test, from ``cases(ctx)``; its hypothesis and
 conclusion take that pair and compare derived factors and composites as
-tuples from the raw-table kernels.  The side domains of ``ClaimContext``
-(random triples, locally-zero and operand-valued tables) and the
-uniqueness counts are raw as well.  A Groupoid is built only for a
-recorded counterexample, or where a claim calls ``classify``.
+tuples from the raw-table kernels.  The claims about a zero (``_zeroed``)
+draw each table with a constant diagonal once, that value as its zero:
+each of their hypotheses implies x∘x = 0, so no other zero can meet it.
+The side domains of ``ClaimContext`` (random triples, locally-zero and
+operand-valued tables) and the uniqueness counts are raw as well.  A
+Groupoid is built only for a recorded counterexample, or where a claim
+calls ``classify``.
 
 ``verify_claims`` splits its claims over forked processes when the job
 is large and the platform can fork; ``BINSYS_THREADS`` (else the CPU
@@ -40,13 +43,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import os
 import random
 import sys
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (
     Groupoid,
@@ -55,11 +57,12 @@ from .core import (
     _left_zero_table,
     _locally_zero,
     _orientation,
+    _positive,
     _right_zero_table,
     _semi_neutral_table,
     _strong,
 )
-from .axioms import _ax_b1, _ax_co
+from .axioms import AXIOMS
 from .errors import EXHAUSTIVE_ORDER_LIMIT, OrderTooLarge, PreconditionError
 from .factorization import (
     _CHOICES,
@@ -94,17 +97,6 @@ def _debug(message: str, *args) -> None:
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger("binsys").debug(message, *args)
-
-
-def _positive(value, what="order", least=1) -> int:
-    """An order or a count as an int >= least, else PreconditionError."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
-    if count < least:
-        raise PreconditionError(f"{what} must be >= {least}, got {count}")
-    return count
 
 
 @functools.cache
@@ -206,16 +198,6 @@ def _resolve_workers(workers, weight):
 
 # --- census ---
 
-CENSUS_KEYS = (
-    "idempotent", "strong", "locally_zero", "orientation",
-    "twisted_orientation", "bi_diagonal", "abelian",
-    "signature_prime", "similar_prime", "orient_prime", "skew_prime",
-    "ua_holds", "au_holds", "oj_holds", "jo_holds",
-    "ua_composite", "au_composite", "oj_composite", "jo_composite",
-    "u_composite", "j_composite", "u_normal", "j_normal",
-)
-
-
 @dataclass(frozen=True)
 class CensusReport:
     order: int
@@ -293,6 +275,10 @@ def _census_terms(n) -> dict:
     return terms
 
 
+# the census keys in report order; _census_terms lists the same keys at every order
+CENSUS_KEYS = tuple(_census_terms(1))
+
+
 def census(order: int, workers=None) -> CensusReport:
     """Count each ``classify`` flag in CENSUS_KEYS over all tables of the order.
 
@@ -352,20 +338,12 @@ class ClaimReport:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "statement": self.statement,
-            "order": self.order,
-            "mode": self.mode,
-            "checked": self.checked,
-            "passed": self.passed,
-            "expected": self.expected,
-            "counterexamples": [
-                {"table": [list(r) for r in g.table], "zero": g.zero}
-                for g in self.counterexamples
-            ],
-            "note": self.note,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["counterexamples"] = [
+            {"table": [list(r) for r in g.table], "zero": g.zero}
+            for g in self.counterexamples
+        ]
+        return out
 
 
 class ClaimContext:
@@ -447,8 +425,10 @@ def _tables(ctx):
 
 
 def _zeroed(ctx):
-    """Every table of the main domain, once per zero under test."""
-    return ((t, z) for t in ctx.samples for z in range(ctx.order))
+    """Every table of the main domain whose diagonal is constant, once, with
+    that value as the zero under test."""
+    b1 = AXIOMS["B1"].check
+    return ((t, t[0][0]) for t in ctx.samples if b1(t, ctx.order, t[0][0]))
 
 
 def _one(table):
@@ -524,7 +504,7 @@ def _is_abelian_group(t):
         return False
     if any(all(t[x][y] != e for y in range(n)) for x in range(n)):
         return False
-    return _ax_co(t, n, None)
+    return AXIOMS["CO"].check(t, n, None)
 
 
 def _no_op_cells(t):
@@ -785,14 +765,13 @@ CLAIMS = [
         "prop-5.4-b1-similar-semi-neutral",
         "when the diagonal is constantly zero the similar factor is semi-neutral",
         lambda t, z: _similar(t) == _semi_neutral_table(len(t), z),
-        hypothesis=lambda t, z: _ax_b1(t, len(t), z),
         cases=_zeroed,
     ),
     _universal(
         "cor-5.5-strong-b1-semi-normal",
         "a strong table with constantly-zero diagonal is semi-normal",
         lambda t, z: _classify(t, z).semi_normal,
-        hypothesis=lambda t, z: _ax_b1(t, len(t), z) and _strong(t),
+        hypothesis=lambda t, z: _strong(t),
         cases=_zeroed,
         min_order=2,  # at order 1 both derived factors are semi-neutral
     ),
@@ -801,8 +780,7 @@ CLAIMS = [
         "a strong, constantly-zero-diagonal table that is not itself "
         "semi-neutral is semi-composite",
         lambda t, z: _classify(t, z).semi_composite,
-        hypothesis=lambda t, z: _ax_b1(t, len(t), z) and _strong(t)
-        and t != _semi_neutral_table(len(t), z),
+        hypothesis=lambda t, z: _strong(t) and t != _semi_neutral_table(len(t), z),
         cases=_zeroed,
     ),
     _universal(

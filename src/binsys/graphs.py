@@ -10,9 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
-from .core import Groupoid, Table, has_orientation
+from .core import Groupoid, Table, _positive, has_orientation
 from .errors import BadShape, NotOP
+
+
+def _vertex_pairs(order, pairs, noun) -> set:
+    """The pairs as (x, y) tuples of distinct vertex indices below order;
+    anything else raises BadShape naming the bad ``noun`` ("edge"/"arc")."""
+    out = set()
+    for p in pairs:
+        try:
+            x, y = map(index, p)
+        except (TypeError, ValueError):
+            raise BadShape(f"{noun} {p!r} is not a pair of vertex indices") from None
+        if x == y:
+            raise BadShape(f"loop at vertex {x}")
+        if not (0 <= x < order and 0 <= y < order):
+            raise BadShape(f"{noun} {p} outside 0..{order - 1}")
+        out.add((x, y))
+    return out
 
 
 @dataclass(frozen=True)
@@ -23,17 +41,10 @@ class SimpleGraph:
     edges: frozenset
 
     def __post_init__(self):
-        if self.order < 1:
-            raise BadShape("graph needs at least one vertex")
-        norm = set()
-        for e in self.edges:
-            x, y = e
-            if x == y:
-                raise BadShape(f"loop at vertex {x}")
-            if not (0 <= x < self.order and 0 <= y < self.order):
-                raise BadShape(f"edge {e} outside 0..{self.order - 1}")
-            norm.add((min(x, y), max(x, y)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        order = _positive(self.order, error=BadShape)
+        edges = _vertex_pairs(order, self.edges, "edge")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "edges", frozenset((min(e), max(e)) for e in edges))
 
 
 @dataclass(frozen=True)
@@ -44,15 +55,9 @@ class Digraph:
     arcs: frozenset
 
     def __post_init__(self):
-        if self.order < 1:
-            raise BadShape("digraph needs at least one vertex")
-        for a in self.arcs:
-            x, y = a
-            if x == y:
-                raise BadShape(f"loop at vertex {x}")
-            if not (0 <= x < self.order and 0 <= y < self.order):
-                raise BadShape(f"arc {a} outside 0..{self.order - 1}")
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
+        order = _positive(self.order, error=BadShape)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "arcs", frozenset(_vertex_pairs(order, self.arcs, "arc")))
 
 
 def to_graph(g: Groupoid) -> SimpleGraph:

@@ -168,6 +168,11 @@ AXIOMS_Q3 = {
     "BP2": True, "Q": True, "CO": False, "BZ": True, "K": False,
     "I": True, "BI": False, "STRONG": True,
 }
+# SHA-256 of json.dumps([[axiom_vector(g), algebra_classes(g)], ...]) over
+# every table at orders 1 and 2 and random_groupoids(n, 300, seed=n) at
+# orders 3 to 6, each table once per zero in ascending order.
+AXIOM_DIGEST = "7106e92f1f102c4cc5828ee3b8001472dccb6232244f4a33919652cb7c81da5f"
+
 CLASSES_BCI4 = ["BCI", "BH", "Q"]
 CLASSES_D5 = ["d", "strong-d", "BH", "strong-B1"]
 CLASSES_BCK3 = [

@@ -1,3 +1,7 @@
+import hashlib
+import inspect
+import json
+
 import pytest
 
 import tables
@@ -6,10 +10,12 @@ from binsys import (
     AXIOMS,
     MissingZero,
     algebra_classes,
+    all_groupoids,
     axiom_holds,
     axiom_vector,
     groupoid,
     left_zero,
+    random_groupoids,
 )
 
 
@@ -18,6 +24,27 @@ def test_registry_size_and_order():
         "B1", "B2", "B", "BG", "BM", "BH", "BF", "BN", "BO",
         "BP1", "BP2", "Q", "CO", "BZ", "K", "I", "BI", "STRONG",
     ]
+
+
+def test_bundles_name_axioms_and_laws_take_their_arity():
+    assert {ax for needed in ALGEBRA_CLASSES.values() for ax in needed} <= set(AXIOMS)
+    for name, ax in AXIOMS.items():
+        assert ax.name == name
+        assert len(inspect.signature(ax.law).parameters) == ax.arity + 2
+
+
+def test_vectors_and_classes_digest():
+    # pins every law and bundle on tables at orders 1-6, with every zero
+    groupoids = [*all_groupoids(1), *all_groupoids(2)]
+    for n in range(3, 7):
+        groupoids += random_groupoids(n, 300, seed=n)
+    rows = [
+        [axiom_vector(h), algebra_classes(h)]
+        for g in groupoids for h in (g.with_metadata(zero=z) for z in range(g.order))
+    ]
+    assert len(rows) == 1 + 2 * 16 + 300 * (3 + 4 + 5 + 6)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == tables.AXIOM_DIGEST
 
 
 def test_algebra_class_names():

@@ -151,6 +151,18 @@ class TestBuilders:
         g = right_zero(n)
         assert all(g(x, y) == y for x in range(n) for y in range(n))
 
+    @pytest.mark.parametrize("builder", [left_zero, right_zero, semi_neutral_groupoid])
+    @pytest.mark.parametrize("order", [0, -1, 2.5, "3", None])
+    def test_bad_order(self, builder, order):
+        # a BadShape naming the order, never a bare TypeError
+        match = "must be >= 1" if isinstance(order, int) else "must be an integer"
+        with pytest.raises(BadShape, match=f"order {match}"):
+            builder(order)
+
+    @pytest.mark.parametrize("builder", [left_zero, right_zero, semi_neutral_groupoid])
+    def test_bool_order_is_one(self, builder):
+        assert builder(True).table == ((0,),)
+
     def test_semi_neutral_builder(self):
         g = semi_neutral_groupoid(3)
         assert [list(r) for r in g.table] == tables.BCK3

@@ -163,6 +163,10 @@ class TestCensus:
         assert list(counts) == list(enumeration.CENSUS_KEYS)
         assert counts == sweep_census(order)
 
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_keys_are_the_terms(self, order):
+        assert tuple(enumeration._census_terms(order)) == enumeration.CENSUS_KEYS
+
     def test_order_four_exact(self):
         rep = census(4)
         assert rep.total == 4_294_967_296
@@ -371,6 +375,10 @@ class TestVerifyClaims:
     def test_report_dict_shape(self):
         rep = verify_claims(2, claims=["thm-2.4-identity"])[0]
         d = rep.to_dict()
+        assert list(d) == [
+            "claim", "statement", "order", "mode", "checked", "passed",
+            "expected", "counterexamples", "note",
+        ]
         assert d["claim"] == "thm-2.4-identity"
         assert d["passed"] is True
         assert d["order"] == 2
@@ -384,27 +392,30 @@ class TestVerifyClaims:
         assert base == forked
 
     def test_counterexample_carries_its_zero(self):
-        # hypothesis and conclusion see (t, z), the raw table and the zero
-        # under test; only a failing pair is built, as a Groupoid with its zero
+        # the zero-under-test domain draws each constant-diagonal table once,
+        # with its diagonal value as the zero; hypothesis and conclusion see
+        # that (t, z), and a failing pair is built as a Groupoid with its zero
         seen = []
 
         def hypothesis(t, z):
             seen.append((t, z))
-            return z != 0
+            return True
 
         claim = enumeration._universal(
             "zero-one-fails", "", lambda t, z: z != 1, hypothesis, cases=enumeration._zeroed,
         )
-        ctx = enumeration.ClaimContext(2, "exhaustive", samples=enumeration._all_tables(2))
+        ctx = enumeration.ClaimContext(3, "exhaustive", samples=enumeration._all_tables(3))
         checked, cexs, _ = claim.runner(ctx)
-        pool = [g.table for g in all_groupoids(2)]
-        assert seen == [(t, z) for t in pool for z in (0, 1)]
+        pool = [g.table for g in all_groupoids(3)]
+        constant = [t for t in pool if len({t[x][x] for x in range(3)}) == 1]
+        assert len(constant) == 3 * 3 ** 6
+        assert seen == [(t, t[0][0]) for t in constant]
         assert all(type(t) is tuple for t, _ in seen)
-        assert checked == len(pool)
+        assert checked == len(constant)
         assert all(isinstance(c, Groupoid) for c in cexs)
         assert [(c.table, c.zero) for c in cexs] == [
-            (t, 1) for t in pool[:enumeration.MAX_COUNTEREXAMPLES]
-        ]
+            (t, 1) for t in constant if t[0][0] == 1
+        ][:enumeration.MAX_COUNTEREXAMPLES]
 
     def test_tally_records_the_first_failures(self):
         # the one count-and-record loop: every case counted, the first

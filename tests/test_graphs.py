@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import tables
@@ -33,6 +35,29 @@ class TestSimpleGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(BadShape):
             SimpleGraph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("kind", [SimpleGraph, Digraph])
+    @pytest.mark.parametrize("order", [0, -1, 2.5, "3"])
+    def test_bad_order_rejected(self, kind, order):
+        match = "must be >= 1" if isinstance(order, int) else "must be an integer"
+        with pytest.raises(BadShape, match=f"order {match}"):
+            kind(order, frozenset())
+
+    @pytest.mark.parametrize("kind,noun", [(SimpleGraph, "edge"), (Digraph, "arc")])
+    @pytest.mark.parametrize("pair", [(0.5, 1), (0, "1"), (0, 1, 2), (1,), 1])
+    def test_bad_pair_rejected(self, kind, noun, pair):
+        # named in a BadShape, never a bare TypeError or ValueError
+        with pytest.raises(BadShape, match=re.escape(f"{noun} {pair!r} is not a pair")):
+            kind(3, frozenset({pair}))
+
+    @pytest.mark.parametrize("kind", [SimpleGraph, Digraph])
+    def test_bool_order_and_vertices_become_ints(self, kind):
+        one = kind(True, frozenset())
+        assert type(one.order) is int and one.order == 1
+        g = kind(2, frozenset({(True, False)}))
+        pairs = g.edges if kind is SimpleGraph else g.arcs
+        assert pairs == {(0, 1) if kind is SimpleGraph else (1, 0)}
+        assert all(type(v) is int for p in pairs for v in p)
 
     def test_digraph_keeps_direction(self):
         d = Digraph(3, [(2, 0), (0, 2)])
