@@ -25,46 +25,41 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import cache
 
 from .core import Groupoid, Table, _left_zero_table, _semi_neutral_table, predicate_vector
 from .errors import InternalError, OrderMismatch
-from .semigroup import _compose, _pair_map, _same_order, is_identity, product
+from .semigroup import _cellwise, _compose, _pair_map, _same_order, is_identity, product
 
 # uniqueness_search reports exact counts but materializes at most this
 # many solution pairs before sorting (see UniquenessReport.truncated).
 MATERIALIZE_LIMIT = 4096
 
 
-# --- the four derived factors, on raw tables ---
+# --- the four derived factors, on raw tables, each as its cell rule ---
 
-def _signature(t: Table) -> Table:
-    return tuple([row[:x] + (x,) + row[x + 1:] for x, row in enumerate(t)])
-
-
-def _similar(t: Table) -> Table:
-    n = len(t)
-    return tuple([(x,) * x + (row[x],) + (x,) * (n - 1 - x) for x, row in enumerate(t)])
+@_cellwise
+def _signature(n, x, y):
+    return x if x == y else f"t[{x}][{y}]"
 
 
-@cache
+@_cellwise
+def _similar(n, x, y):
+    return f"t[{x}][{x}]" if x == y else x
+
+
+# its display holds only elements, a constant: every call returns one object
+@_cellwise
+def _orient(n, x, y):
+    return y if x + y == n - 1 else x
+
+
+@_cellwise
+def _skew(n, x, y):
+    return f"t[{y}][{x}]" if x + y == n - 1 else f"t[{x}][{y}]"
+
+
 def _orient_table(order: int) -> Table:
-    return tuple(
-        tuple(y if x + y == order - 1 else x for y in range(order))
-        for x in range(order)
-    )
-
-
-def _orient(t: Table) -> Table:
-    return _orient_table(len(t))
-
-
-def _skew(t: Table) -> Table:
-    n = len(t)
-    return tuple([
-        row[:n - 1 - x] + (t[n - 1 - x][x],) + row[n - x:]
-        for x, row in enumerate(t)
-    ])
+    return _orient(_left_zero_table(order))
 
 
 # --- the four derived factors ---
@@ -90,10 +85,6 @@ def orient_factor(g: Groupoid) -> Groupoid:
 def skew_factor(g: Groupoid) -> Groupoid:
     """Target with its anti-diagonal cells transposed (an involution)."""
     return Groupoid(_skew(g.table), labels=g.labels, zero=g.zero)
-
-
-def _orient_cell(n: int, a: int, b: int) -> int:
-    return b if a + b == n - 1 else a
 
 
 # --- method registry ---
@@ -290,7 +281,7 @@ def _ua_choices(t):
 
 
 def _jo_choices(t):
-    n = len(t)
+    n, o = len(t), _orient(t)
     # cells off the anti-diagonal are pinned to the target, so the
     # composite is already determined there; where it disagrees, that
     # pinned pair has no choice and the count is 0
@@ -298,7 +289,7 @@ def _jo_choices(t):
         for y in range(n):
             if x == y or x + y == n - 1:
                 continue
-            if _orient_cell(n, t[x][y], t[y][x]) != t[x][y]:
+            if o[t[x][y]][t[y][x]] != t[x][y]:
                 return [((x, y), [])]
     # on an anti-diagonal pair exactly one (a, b) composes to (p, q): the
     # orient table swaps a pair summing to n - 1 and keeps any other

@@ -16,13 +16,14 @@ n = 1 (``_is_central``).  The classical claim that the locally-zero tables
 are exactly the central ones does not hold from order 3 up (see
 ``in_center``).
 
-One kernel computes ⋄: ``_compose`` works on raw tables (tuples of tuple
-rows) and runs ``_kernel(n)``, a lambda generated for their order whose
-body is one tuple display of the n*n cells, cell (x, y) written out as
-``h[g[x][y]][g[y][x]]``.  Its source holds only indices from range(n),
-never a table value; it is compiled once per order per process, at O(n²)
-cost (about 1 ms at order 8, 5 ms at 16, 0.1 s at 64).  ``product`` wraps
-the result in a validated Groupoid; ``commutes``, the factorization flags
+One compiler, ``_cellwise``, builds ⋄ (``_compose``) and the four derived
+factors of ``factorization`` on raw tables (tuples of tuple rows), each
+from its cell rule: the source of cell (x, y) at order n, an element or an
+index into the operands, ``u[t[x][y]][t[y][x]]`` for ⋄.  At each order a
+map is one tuple display of the n*n cells that holds only indices from
+range(n), never a table value, compiled once per process at O(n²) cost
+(for ⋄ about 1 ms at order 8, 5 ms at 16, 0.1 s at 64).  ``product`` wraps
+⋄'s result in a validated Groupoid; ``commutes``, the factorization flags
 and the claim verifier compare its raw tables directly and build no
 Groupoid for intermediate results; ``is_identity`` compares with the
 cached left projection table.
@@ -36,21 +37,26 @@ from .core import Groupoid, Table, _left_zero_table, _right_zero_table
 from .errors import OrderMismatch
 
 
-@cache
-def _kernel(n: int):
-    """The order-n ⋄ kernel: ``lambda g, h: ((h[g[0][0]][g[0][0]], ...), ...)``."""
-    # every row ends in a comma, so order 1 gives ((v,),) and not (v,)
-    rows = "".join(
-        "(" + "".join(f"h[g[{x}][{y}]][g[{y}][{x}]], " for y in range(n)) + "), "
-        for x in range(n)
-    )
-    return eval(f"lambda g, h: ({rows})")
+def _cellwise(cell):
+    """The raw-table map ``f(t, u=None)`` whose cell (x, y) at order n has the
+    source ``cell(n, x, y)``; the first call at an order compiles it."""
+
+    @cache
+    def compiled(n: int):
+        # every row ends in a comma, so order 1 gives ((v,),) and not (v,)
+        rows = "".join(
+            "(" + "".join(f"{cell(n, x, y)}, " for y in range(n)) + "), "
+            for x in range(n)
+        )
+        return eval(f"lambda t, u: ({rows})")
+
+    return lambda t, u=None: compiled(len(t))(t, u)
 
 
-def _compose(gt: Table, ht: Table) -> Table:
-    """The table of g ⋄ h from the tables of g and h (same order); the
-    first call at an order compiles that order's kernel, once."""
-    return _kernel(len(gt))(gt, ht)
+# the table of t ⋄ u from the tables of t and u (same order)
+@_cellwise
+def _compose(n, x, y):
+    return f"u[t[{x}][{y}]][t[{y}][{x}]]"
 
 
 def _same_order(g: Groupoid, h: Groupoid) -> None:

@@ -1,6 +1,7 @@
-"""The raw-table ⋄ kernel and the flags and predicates computed on it,
-against the slow Groupoid paths kept in ``reference_kernel``; and Groupoid
-validation against the cell-by-cell checks it replaced."""
+"""The compiled raw-table maps (⋄ and the four derived factors) and the
+flags and predicates computed on them, against the slow Groupoid paths
+kept in ``reference_kernel``; and Groupoid validation against the
+cell-by-cell checks it replaced."""
 
 import random
 
@@ -22,9 +23,9 @@ from binsys import (
     right_zero,
     ua_holds,
 )
-from binsys import core
-from binsys.factorization import _signature, _similar, _skew
-from binsys.semigroup import _compose, _kernel
+from binsys import core, semigroup
+from binsys.factorization import _orient, _signature, _similar, _skew
+from binsys.semigroup import _compose
 from reference_kernel import (
     REF_PREDICATES,
     ref_classify_by_zero,
@@ -32,6 +33,7 @@ from reference_kernel import (
     ref_compose,
     ref_is_identity,
     ref_is_strong,
+    ref_orient,
     ref_predicate_vector,
     ref_signature,
     ref_similar,
@@ -49,6 +51,24 @@ RAW_PREDICATES = {
     "bi_diagonal": core._bi_diagonal,
     "abelian": core._abelian,
 }
+
+
+# each one-operand map -> its reference on Groupoids
+DERIVATIONS = ((_signature, ref_signature), (_similar, ref_similar),
+               (_orient, ref_orient), (_skew, ref_skew))
+
+
+def assert_maps_match(gt, ht):
+    """⋄ and the four derived factors return what ``Groupoid`` takes without
+    copying (tuple rows of exact ints) and agree with their references."""
+    composed = _compose(gt, ht)
+    assert core._is_frozen(composed)
+    assert composed == ref_compose(gt, ht)
+    g = Groupoid(gt)
+    for derive, ref in DERIVATIONS:
+        derived = derive(gt)
+        assert core._is_frozen(derived), ref.__name__
+        assert derived == ref(g).table, ref.__name__
 
 
 def assert_predicates_match(g):
@@ -81,9 +101,9 @@ class TestComposeMatchesReference:
 
 
 class TestGeneratedKernel:
-    """``_compose`` runs the kernel generated for its order: one compile per
-    order, the tuple-of-tuples shape down to order 1, and the reference
-    product above the orders the other tests reach."""
+    """Each map runs the display compiled for its order: one compile per
+    order, the tuple-of-tuples shape down to order 1, and the references
+    above the orders the other tests reach."""
 
     def test_order_one_shape(self):
         composed = _compose(((0,),), ((0,),))
@@ -91,8 +111,22 @@ class TestGeneratedKernel:
         assert type(composed) is tuple and type(composed[0]) is tuple
 
     @pytest.mark.parametrize("order", [1, 3, 9])
-    def test_compiled_once_per_order(self, order):
-        assert _kernel(order) is _kernel(order)
+    def test_compiled_once_per_order(self, order, monkeypatch):
+        compiles = []
+
+        def counting_eval(source):
+            compiles.append(source)
+            return eval(source)
+
+        monkeypatch.setattr(semigroup, "eval", counting_eval, raising=False)
+        t = core._left_zero_table(order)
+        maps = [_compose] + [derive for derive, _ in DERIVATIONS]
+        first = [derive(t, t) for derive in maps]
+        compiled = len(compiles)
+        again = [derive(t, t) for derive in maps]
+        assert len(compiles) == compiled <= len(maps)
+        assert again == first
+        assert again[maps.index(_orient)] is first[maps.index(_orient)]
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(st.data())
@@ -104,14 +138,13 @@ class TestGeneratedKernel:
             tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
             for _ in range(2)
         )
-        composed = _compose(gt, ht)
-        assert core._is_frozen(composed)
-        assert composed == ref_compose(gt, ht)
+        assert_maps_match(gt, ht)
 
 
 class TestKernelsFrozen:
-    """The raw kernels return what ``Groupoid`` takes without copying (tuple
-    rows of exact ints) and agree with the reference paths at orders 1-8."""
+    """The compiled maps return what ``Groupoid`` takes without copying
+    (tuple rows of exact ints) and agree with the reference paths at
+    orders 1-8."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
@@ -122,15 +155,7 @@ class TestKernelsFrozen:
             tuple(tuple(flat[x * n:(x + 1) * n]) for x in range(n))
             for flat in (data.draw(cells), data.draw(cells))
         )
-        composed = _compose(gt, ht)
-        assert core._is_frozen(composed)
-        assert composed == ref_compose(gt, ht)
-        g = Groupoid(gt)
-        for kernel, ref in ((_signature, ref_signature), (_similar, ref_similar),
-                            (_skew, ref_skew)):
-            derived = kernel(gt)
-            assert core._is_frozen(derived), kernel.__name__
-            assert derived == ref(g).table, kernel.__name__
+        assert_maps_match(gt, ht)
 
 
 class TestFlagsMatchReference:
