@@ -69,7 +69,7 @@ AXIOMS = {ax.name: ax for ax in (
 def axiom_holds(g: Groupoid, name: str) -> bool:
     try:
         ax = AXIOMS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown axiom {name!r}") from None
     if ax.needs_zero and g.zero is None:
         raise MissingZero(f"axiom {name} references the zero element")

@@ -348,13 +348,20 @@ class ClaimReport:
 
 class ClaimContext:
     """What a claim runner may draw on: the order, the main domain of raw
-    tables (``samples``), and deterministic per-claim RNG streams."""
+    tables (``samples``, filtered by ``where``) and per-claim seeded RNGs."""
 
     def __init__(self, order, mode, seed=None, samples=None):
         self.order = order
         self.mode = mode  # "exhaustive" | "sampled"
         self.seed = seed
         self.samples = samples
+        self._pools = {}
+
+    def where(self, test):
+        """The main-domain tables that pass ``test``, filtered once per process."""
+        if test not in self._pools:
+            self._pools[test] = tuple(filter(test, self.samples))
+        return self._pools[test]
 
     def rng(self, salt: str) -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
@@ -384,7 +391,7 @@ class ClaimContext:
     def op_tables(self):
         """Tables where every product lands on an operand."""
         if self.mode == "exhaustive":
-            yield from filter(_orientation, self.samples)
+            yield from self.where(_orientation)
             return
         rng = self.rng("op")
         n = self.order
@@ -424,11 +431,19 @@ def _tables(ctx):
     return ((t, None) for t in ctx.samples)
 
 
+def _where(test):
+    """The domain of the main-domain tables that pass ``test``."""
+    return lambda ctx: ((t, None) for t in ctx.where(test))
+
+
+def _b1_diagonal(t):
+    return AXIOMS["B1"].check(t, len(t), t[0][0])
+
+
 def _zeroed(ctx):
     """Every table of the main domain whose diagonal is constant, once, with
     that value as the zero under test."""
-    b1 = AXIOMS["B1"].check
-    return ((t, t[0][0]) for t in ctx.samples if b1(t, ctx.order, t[0][0]))
+    return ((t, t[0][0]) for t in ctx.where(_b1_diagonal))
 
 
 def _one(table):
@@ -600,13 +615,12 @@ CLAIMS = [
     _universal(
         "thm-3.1.3-strong-ua",
         "signature times similar reproduces every strong table",
-        lambda t, z: _holds(t, "ua"), hypothesis=lambda t, z: _strong(t),
+        lambda t, z: _holds(t, "ua"), cases=_where(_strong),
     ),
     _universal(
         "cor-3.1.4-ua-unique",
         "a strong table has exactly one signature-shape/similar-shape factorization",
-        _unique("ua"),
-        hypothesis=lambda t, z: _strong(t),
+        _unique("ua"), cases=_where(_strong),
     ),
     _universal(
         "thm-3.2.3-au-universal",
@@ -621,8 +635,7 @@ CLAIMS = [
     _universal(
         "cor-3.2.5-strong-u-normal",
         "strong tables factor both ways through signature and similar",
-        lambda t, z: _holds(t, "ua") and _holds(t, "au"),
-        hypothesis=lambda t, z: _strong(t),
+        lambda t, z: _holds(t, "ua") and _holds(t, "au"), cases=_where(_strong),
     ),
     _universal(
         "prop-3.2-similar-factor-strong",
@@ -645,14 +658,14 @@ CLAIMS = [
         "prop-3.2.10-statement",
         "a strong table that is not locally zero is u-composite",
         lambda t, z: _classify(t, z).u_composite,
-        hypothesis=lambda t, z: _strong(t) and not _locally_zero(t),
+        hypothesis=lambda t, z: not _locally_zero(t), cases=_where(_strong),
         expected="fail",
     ),
     _universal(
         "prop-3.2.10-proof",
         "a strong table with no idempotent cell and no operand-valued product is u-composite",
         lambda t, z: _classify(t, z).u_composite,
-        hypothesis=lambda t, z: _strong(t) and _no_op_cells(t),
+        hypothesis=lambda t, z: _no_op_cells(t), cases=_where(_strong),
     ),
     _universal(
         "thm-3.3.1-factor-primes",
@@ -676,7 +689,7 @@ CLAIMS = [
         "for strong tables the re-derived factors compose back in both orders",
         lambda t, z: _compose(sig := _signature(_signature(t)), sim := _similar(_similar(t))) == t
         and _compose(sim, sig) == t,
-        hypothesis=lambda t, z: _strong(t),
+        cases=_where(_strong),
     ),
     _universal(
         "thm-4.1.2-oj-universal",
@@ -691,19 +704,17 @@ CLAIMS = [
     _universal(
         "thm-4.2.3-op-jo",
         "skew times orient reproduces every operand-valued table",
-        lambda t, z: _holds(t, "jo"), hypothesis=lambda t, z: _orientation(t),
+        lambda t, z: _holds(t, "jo"), cases=_where(_orientation),
     ),
     _universal(
         "cor-4.2.4-jo-unique",
         "an operand-valued table has exactly one skew-shape/orient factorization",
-        _unique("jo"),
-        hypothesis=lambda t, z: _orientation(t),
+        _unique("jo"), cases=_where(_orientation),
     ),
     _universal(
         "prop-4.2.5-op-j-normal",
         "operand-valued tables factor both ways through orient and skew",
-        lambda t, z: _holds(t, "oj") and _holds(t, "jo"),
-        hypothesis=lambda t, z: _orientation(t),
+        lambda t, z: _holds(t, "oj") and _holds(t, "jo"), cases=_where(_orientation),
     ),
     _closed(
         "op-product-closed",
@@ -830,7 +841,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     if claims is None:
         selected = list(CLAIMS)
     else:
-        unknown = [c for c in claims if c not in REGISTRY]
+        unknown = [c for c in claims if not isinstance(c, str) or c not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown claim ids: {unknown}")
         selected = [REGISTRY[c] for c in claims]

@@ -118,7 +118,7 @@ METHODS = {
 def _method(name: str) -> FactorizationMethod:
     try:
         return METHODS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
             f"unknown method {name!r}; expected one of {sorted(METHODS)}"
         ) from None

@@ -121,6 +121,12 @@ def test_unknown_axiom():
         axiom_holds(groupoid(tables.Q3, zero=0), "BB")
 
 
+@pytest.mark.parametrize("name", [["B1"], {"B1"}, {"B1": 0}], ids=["list", "set", "dict"])
+def test_unhashable_axiom_name(name):
+    with pytest.raises(ValueError, match="unknown axiom"):
+        axiom_holds(groupoid(tables.Q3, zero=0), name)
+
+
 def test_left_zero_axioms():
     # x∘y = x satisfies x∘0 = x and 0∘x = 0, but x∘x = x breaks B1
     g = left_zero(3).with_metadata(zero=0)

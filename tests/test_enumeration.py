@@ -310,6 +310,11 @@ class TestVerifyClaims:
         with pytest.raises(ValueError):
             verify_claims(2, claims=["thm-0.0-missing"])
 
+    @pytest.mark.parametrize("claim", [["x"], {"thm-2.4-identity"}, 7], ids=["list", "set", "int"])
+    def test_unhashable_or_non_string_claim_id(self, claim):
+        with pytest.raises(ValueError, match="unknown claim ids"):
+            verify_claims(1, claims=[claim])
+
     def test_exhaustive_order_cap(self):
         with pytest.raises(OrderTooLarge):
             verify_claims(4)

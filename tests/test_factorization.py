@@ -139,6 +139,12 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(groupoid(tables.D5), "xy")
 
+    @pytest.mark.parametrize("call", [factorize, uniqueness_search])
+    @pytest.mark.parametrize("method", [["ua"], {"ua"}], ids=["list", "set"])
+    def test_unhashable_method(self, call, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            call(groupoid(tables.D5), method)
+
     def test_d5_reproduces_both_ways(self):
         g = groupoid(tables.D5)
         ua = factorize(g, "ua")

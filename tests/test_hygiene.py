@@ -1,9 +1,10 @@
 """Static checks over the package source and its exports.
 
 Every module under ``src/binsys`` (bar ``__init__.py``, which only
-re-exports) must use each name it imports, and every function and claim
-the traced benchmark run (``perfbench/layers.py``) wraps must still exist,
-and the calls the benchmark workloads make must still bind.
+re-exports) must use each name it imports, and the package calls ``eval``
+once, in its one map compiler.  Every function and claim the traced
+benchmark run (``perfbench/layers.py``) wraps must still exist, and the
+calls the benchmark workloads make must still bind.
 The package exports the names it imports eagerly plus those of its lazy
 table, each the very object its module defines.
 """
@@ -50,6 +51,24 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "from .core import Groupoid, left_zero\nimport os\n\ndef f(g: Groupoid):\n    return g\n"
     assert unused_imports(source) == ["left_zero", "os"]
+
+
+def eval_calls() -> list[str]:
+    """``module:line`` of each call to ``eval`` in the package source."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "eval"
+    ]
+
+
+def test_one_compiler():
+    # semigroup._cellwise compiles ⋄ and every derived factor; a second
+    # source generator would be a second kernel to keep in step
+    calls = eval_calls()
+    assert len(calls) == 1 and calls[0].startswith("semigroup.py:"), calls
 
 
 def _perfbench_module(name):
