@@ -75,7 +75,7 @@ from .factorization import (
     classify,
 )
 from .graphs import _graph_table, all_graphs
-from .semigroup import _compose, _is_central, _is_identity
+from .semigroup import _compile_maps, _compose, _is_central, _is_identity
 
 MAX_COUNTEREXAMPLES = 5
 
@@ -545,13 +545,14 @@ def _run_associative(ctx):
         note = None
     else:
         # pool indices as rng.randrange(len(pool)) would draw them
-        picks = itertools.chain.from_iterable(_randbelow_blocks(ctx.rng("assoc"), len(pool)))
+        picks = map(pool.__getitem__, itertools.chain.from_iterable(
+            _randbelow_blocks(ctx.rng("assoc"), len(pool))))
         trials = 100_000
-        triples = ((pool[next(picks)], pool[next(picks)], pool[next(picks)])
-                   for _ in range(trials))
+        triples = itertools.islice(zip(picks, picks, picks), trials)
         note = f"{trials} random triples (full triple space is too large)"
+    compose = _compose.at(ctx.order)
     checked, cexs = _tally(
-        triples, lambda f, g, h: _compose(_compose(f, g), h) == _compose(f, _compose(g, h)),
+        triples, lambda f, g, h: compose(compose(f, g), h) == compose(f, compose(g, h)),
     )
     if cexs:
         note = ((note + "; ") if note else "") + "counterexamples listed as flattened triples"
@@ -871,6 +872,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         if workers == 1 or len(selected) == 1:
             raw = [_run_claim(c.id) for c in selected]
         else:
+            _compile_maps(order)  # like the table cache, before any fork
             with _fork_context().Pool(min(workers, len(selected))) as pool:
                 raw = pool.map(_run_claim, [c.id for c in selected])
     finally:

@@ -39,15 +39,16 @@ MATERIALIZE_LIMIT = 4096
 
 @_cellwise
 def _signature(n, x, y):
-    return x if x == y else f"t[{x}][{y}]"
+    return x if x == y else f"t{x}_{y}"
 
 
+# it reads one cell per row: a subscript costs less than unpacking the row
 @_cellwise
 def _similar(n, x, y):
     return f"t[{x}][{x}]" if x == y else x
 
 
-# its display holds only elements, a constant: every call returns one object
+# it reads no cell: its display is a constant, and every call returns one object
 @_cellwise
 def _orient(n, x, y):
     return y if x + y == n - 1 else x
@@ -55,7 +56,7 @@ def _orient(n, x, y):
 
 @_cellwise
 def _skew(n, x, y):
-    return f"t[{y}][{x}]" if x + y == n - 1 else f"t[{x}][{y}]"
+    return f"t{y}_{x}" if x + y == n - 1 else f"t{x}_{y}"
 
 
 def _orient_table(order: int) -> Table:

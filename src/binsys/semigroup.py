@@ -19,44 +19,79 @@ are exactly the central ones does not hold from order 3 up (see
 One compiler, ``_cellwise``, builds ⋄ (``_compose``) and the four derived
 factors of ``factorization`` on raw tables (tuples of tuple rows), each
 from its cell rule: the source of cell (x, y) at order n, an element or an
-index into the operands, ``u[t[x][y]][t[y][x]]`` for ⋄.  At each order a
-map is one tuple display of the n*n cells that holds only indices from
-range(n), never a table value, compiled once per process at O(n²) cost
-(for ⋄ about 1 ms at order 8, 5 ms at 16, 0.1 s at 64).  ``product`` wraps
-⋄'s result in a validated Groupoid; ``commutes``, the factorization flags
-and the claim verifier compare its raw tables directly and build no
-Groupoid for intermediate results; ``is_identity`` compares with the
-cached left projection table.
+expression over the operands that reads a cell of the first operand t as
+a local ``t{x}_{y}`` or by subscript, ``u[t{x}_{y}][t{y}_{x}]`` for ⋄.  At
+each order a map is one function, ``<rule>_<n>``, compiled once per
+process at O(n²) cost.  If its rule reads locals, it first unpacks each
+row of t into them, so that it reads every cell of t once; then it returns
+one tuple display of the n*n cells.  A ⋄ cell costs two subscripts, a cell
+of the signature or skew factor none; the similar factor subscripts its n
+diagonal cells, and the orient factor's display is a constant.
+``verify_claims`` compiles every map at its order (``_compile_maps``)
+before it forks.  ``product`` wraps ⋄'s result in a validated Groupoid;
+``commutes``, the factorization flags and the claim verifier compare its
+raw tables directly and build no Groupoid for intermediate results;
+``is_identity`` compares with the cached left projection table.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cache
 
 from .core import Groupoid, Table, _left_zero_table, _right_zero_table
 from .errors import OrderMismatch
 
+# every map's per-order compiler, so that a run can compile them all before it forks
+_COMPILERS = []
+
+# a cell of the first operand read as a local, t{a}_{b}, in a rule's source
+_LOCAL = re.compile(r"\bt\d+_\d+\b")
+
+
+@cache
+def _unpack_rows(n: int) -> tuple:
+    """A statement per row a of t that unpacks it into the locals t{a}_{b}."""
+    return tuple(", ".join(f"t{a}_{b}" for b in range(n)) + f", = t[{a}]" for a in range(n))
+
 
 def _cellwise(cell):
     """The raw-table map ``f(t, u=None)`` whose cell (x, y) at order n has the
-    source ``cell(n, x, y)``; the first call at an order compiles it."""
+    source ``cell(n, x, y)``.  The source reads cell (a, b) of the first
+    operand t as ``t[a][b]`` or as the local ``t{a}_{b}``; a map that reads
+    locals first unpacks every row of t into them.  The first call at an
+    order compiles the map, as the function ``<rule>_<n>`` in the file
+    ``<<rule>_<n>>``."""
 
     @cache
     def compiled(n: int):
         # every row ends in a comma, so order 1 gives ((v,),) and not (v,)
-        rows = "".join(
-            "(" + "".join(f"{cell(n, x, y)}, " for y in range(n)) + "), "
-            for x in range(n)
-        )
-        return eval(f"lambda t, u: ({rows})")
+        display = "(" + "".join(
+            "(" + "".join(f"{cell(n, x, y)}, " for y in range(n)) + "), " for x in range(n)
+        ) + ")"
+        # a rule that reads cells as locals gets every row of t unpacked into them
+        head = _unpack_rows(n) if _LOCAL.search(display) else ()
+        name = f"{cell.__name__}_{n}"
+        source = "\n    ".join([f"def {name}(t, u):", *head, f"return {display}"])
+        eval(compile(source, f"<{name}>", "exec"), namespace := {})
+        return namespace[name]
 
-    return lambda t, u=None: compiled(len(t))(t, u)
+    _COMPILERS.append(compiled)
+    mapped = lambda t, u=None: compiled(len(t))(t, u)
+    mapped.at = compiled  # the map compiled for an order, called without dispatch
+    return mapped
+
+
+def _compile_maps(n: int) -> None:
+    """Compile every map at order n, so that forked workers inherit them."""
+    for compiled in _COMPILERS:
+        compiled(n)
 
 
 # the table of t ⋄ u from the tables of t and u (same order)
 @_cellwise
 def _compose(n, x, y):
-    return f"u[t[{x}][{y}]][t[{y}][{x}]]"
+    return f"u[t{x}_{y}][t{y}_{x}]"
 
 
 def _same_order(g: Groupoid, h: Groupoid) -> None:

@@ -462,6 +462,23 @@ class TestVerifyClaims:
         verify_claims(5, sample=200, seed=1, workers=1)
         assert 0 < calls <= 19
 
+    def test_maps_compiled_before_the_fork(self, monkeypatch):
+        # the parent compiles the order's five maps and the forked workers
+        # inherit them; it runs no claim, so it compiles nothing else
+        compiles = []
+
+        def counting_eval(code, namespace):
+            compiles.append(code.co_filename)
+            return eval(code, namespace)
+
+        monkeypatch.setattr(semigroup, "eval", counting_eval, raising=False)
+        for compiled in semigroup._COMPILERS:
+            compiled.cache_clear()
+        verify_claims(5, sample=100, seed=1, workers=2)
+        assert sorted(compiles) == sorted(
+            f"<{name}_5>" for name in ("_compose", "_signature", "_similar", "_orient", "_skew")
+        )
+
     def test_debug_log(self, caplog):
         caplog.set_level(logging.DEBUG, logger="binsys")
         verify_claims(2, claims=["thm-2.4-identity", "prop-5.9-magma"])
@@ -493,6 +510,24 @@ def test_logging_left_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+class TestAssociativeClaim:
+    @pytest.mark.parametrize("order, checked", [(2, 4096), (3, 100_000)])
+    def test_wrong_cell_fails(self, order, checked, monkeypatch):
+        # the claim checks whichever ⋄ the verifier binds, through the map
+        # compiled for the order: one wrong cell, (0, 1) read as
+        # h(g(0, 1), g(0, 1)), must fail it
+        monkeypatch.setattr(semigroup, "_COMPILERS", list(semigroup._COMPILERS))
+
+        @semigroup._cellwise
+        def wrong(n, x, y):
+            return "u[t0_1][t0_1]" if (x, y) == (0, 1) else f"u[t{x}_{y}][t{y}_{x}]"
+
+        monkeypatch.setattr(enumeration, "_compose", wrong)
+        rep = verify_claims(order, claims=["thm-2.4-associative"], workers=1)[0]
+        assert (rep.checked, rep.passed) == (checked, False)
+        assert rep.counterexamples
 
 
 class TestCenterAgreementClaim:

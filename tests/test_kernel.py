@@ -114,9 +114,9 @@ class TestGeneratedKernel:
     def test_compiled_once_per_order(self, order, monkeypatch):
         compiles = []
 
-        def counting_eval(source):
+        def counting_eval(source, *namespace):
             compiles.append(source)
-            return eval(source)
+            return eval(source, *namespace)
 
         monkeypatch.setattr(semigroup, "eval", counting_eval, raising=False)
         t = core._left_zero_table(order)
@@ -127,6 +127,32 @@ class TestGeneratedKernel:
         assert len(compiles) == compiled <= len(maps)
         assert again == first
         assert again[maps.index(_orient)] is first[maps.index(_orient)]
+
+    @pytest.mark.parametrize("order", [1, 3, 16])
+    def test_each_map_has_its_own_name(self, order):
+        # a profile keys a function by file, line and name: each compiled
+        # map is its own function <rule>_<order> in its own file
+        t = core._left_zero_table(order)
+        maps = [_compose] + [derive for derive, _ in DERIVATIONS]
+        codes = [derive.at(order).__code__ for derive in maps]
+        assert [code.co_name for code in codes] == [
+            f"{name}_{order}" for name in ("_compose", "_signature", "_similar", "_orient", "_skew")
+        ]
+        assert len({code.co_filename for code in codes}) == len(maps)
+        assert [derive(t, t) for derive in maps] == [derive.at(order)(t, t) for derive in maps]
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_cells_read_once(self, order):
+        # ⋄, the signature and the skew factor unpack every row of t into
+        # locals and read each cell from there; the similar factor
+        # subscripts its diagonal and the orient factor reads nothing
+        cells = {f"t{a}_{b}" for a in range(order) for b in range(order)}
+        for derive in (_compose, _signature, _skew):
+            # at order 1 the signature factor's one cell is its diagonal
+            read = set() if (derive, order) == (_signature, 1) else cells
+            assert set(derive.at(order).__code__.co_varnames) == {"t", "u"} | read
+        for derive in (_similar, _orient):
+            assert derive.at(order).__code__.co_varnames == ("t", "u")
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(st.data())
