@@ -104,8 +104,9 @@ class Groupoid:
                 raise BadLabels(f"{len(labels)} labels for {n} elements")
             if len(set(labels)) != n:
                 raise BadLabels("duplicate labels")
-            if any((not s) or s.split() != [s] for s in labels):
-                raise BadLabels("labels must be non-empty and without whitespace")
+            # '#' starts a comment in the groupoid file
+            if any((not s) or s.split() != [s] or "#" in s for s in labels):
+                raise BadLabels("labels must be non-empty, without whitespace or '#'")
         if self.zero is not None:
             object.__setattr__(self, "zero", _zero_index(self.zero, n))
 

@@ -131,19 +131,17 @@ def digraph_to_dot(digraph: Digraph, labels=None) -> str:
     return _to_dot("digraph", "->", digraph.order, digraph.arcs, labels)
 
 
+# whitespace and //, # and /* */ comments, skipped between tokens (never
+# inside a quoted ID); then a token, or the end of the text
 _DOT_TOKEN = re.compile(
-    r'\s*(?:(--|->|[{};,=])|"((?:[^"\\]|\\.)*)"|([^\s{};,=\[\]"]+)|(\[))'
+    r'(?:\s|//[^\n]*|#[^\n]*|/\*(?s:.*?)\*/)*'
+    r'(?:(--|->|[{};,=])|"((?:[^"\\]|\\.)*)"|((?:(?!//|/\*)[^\s{};,=\[\]"#])+)|(\[)|\Z)'
 )
 
 
 def _dot_tokens(text: str):
-    # strip //, # line comments and /* */ blocks first
-    text = re.sub(r"//[^\n]*|#[^\n]*", "", text)
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
     pos = 0
-    while pos < len(text):
-        if text[pos:].isspace():
-            break
+    while True:
         m = _DOT_TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"bad DOT syntax near {text[pos:pos + 20]!r}")
@@ -151,10 +149,10 @@ def _dot_tokens(text: str):
             raise ParseError("DOT attributes are not supported")
         if m.group(2) is not None:
             yield re.sub(r'\\(.)', r'\1', m.group(2))
-        elif m.group(3) is not None:
-            yield m.group(3)
+        elif m.lastindex is None:
+            return
         else:
-            yield m.group(1)
+            yield m.group(m.lastindex)
         pos = m.end()
 
 

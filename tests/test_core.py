@@ -67,6 +67,12 @@ class TestConstruction:
         with pytest.raises(BadLabels):
             groupoid([[0, 0], [1, 1]], labels=["a", "b c"])
 
+    @pytest.mark.parametrize("label", ["a#1", "#", "b#"])
+    def test_comment_marker_label(self, label):
+        # '#' would start a comment in the groupoid file
+        with pytest.raises(BadLabels):
+            groupoid([[0, 1], [1, 0]], labels=[label, "c"])
+
     def test_zero_out_of_range(self):
         with pytest.raises(BadZero):
             groupoid([[0, 0], [1, 1]], zero=2)

@@ -131,9 +131,21 @@ class TestParseDot:
         assert again == g
         assert names == ("a", "b", "c", "d")
 
+    def test_comment_markers_in_quoted_names(self):
+        # comments are skipped between tokens, never inside a quoted name
+        g = SimpleGraph(4, [(0, 1), (2, 3)])
+        labels = ("a//b", "c#1", "/*d", "e*/")
+        again, names = parse_dot(graph_to_dot(g, labels=labels))
+        assert again == g
+        assert names == labels
+        graph, names = parse_dot('graph { "x#1" -- y; } // done\n# end\n/* end */\n')
+        assert graph.edges == frozenset({(0, 1)})
+        assert names == ("x#1", "y")
+
     @pytest.mark.parametrize(
         "text",
         [
+            "graph { a /* open -- b; }",    # unclosed comment
             "digraph { a -- b; }",          # wrong graph kind
             "graph { a -- a; }",            # loop
             "graph { a -- ; }",             # dangling operator
