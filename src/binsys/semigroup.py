@@ -36,7 +36,6 @@ raw tables directly and build no Groupoid for intermediate results;
 
 from __future__ import annotations
 
-import re
 from functools import cache
 
 from .core import Groupoid, Table, _left_zero_table, _right_zero_table
@@ -45,34 +44,26 @@ from .errors import OrderMismatch
 # every map's per-order compiler, so that a run can compile them all before it forks
 _COMPILERS = []
 
-# a cell of the first operand read as a local, t{a}_{b}, in a rule's source
-_LOCAL = re.compile(r"\bt\d+_\d+\b")
-
-
-@cache
-def _unpack_rows(n: int) -> tuple:
-    """A statement per row a of t that unpacks it into the locals t{a}_{b}."""
-    return tuple(", ".join(f"t{a}_{b}" for b in range(n)) + f", = t[{a}]" for a in range(n))
-
 
 def _cellwise(cell):
     """The raw-table map ``f(t, u=None)`` whose cell (x, y) at order n has the
     source ``cell(n, x, y)``.  The source reads cell (a, b) of the first
-    operand t as ``t[a][b]`` or as the local ``t{a}_{b}``; a map that reads
-    locals first unpacks every row of t into them.  The first call at an
-    order compiles the map, as the function ``<rule>_<n>`` in the file
-    ``<<rule>_<n>>``."""
+    operand t as ``t[a][b]`` or as the local ``t{a}_{b}``, the only ``_`` it
+    may hold; a map that reads locals first unpacks every row of t into
+    them.  The first call at an order compiles the map, as the function
+    ``<rule>_<n>`` in the file ``<<rule>_<n>>``."""
 
     @cache
     def compiled(n: int):
         # every row ends in a comma, so order 1 gives ((v,),) and not (v,)
-        display = "(" + "".join(
-            "(" + "".join(f"{cell(n, x, y)}, " for y in range(n)) + "), " for x in range(n)
-        ) + ")"
-        # a rule that reads cells as locals gets every row of t unpacked into them
-        head = _unpack_rows(n) if _LOCAL.search(display) else ()
+        display = "".join(
+            "(" + "".join(f"{cell(n, x, y)}, " for y in range(n)) + "), "
+            for x in range(n)
+        )
+        rows = range(n) if "_" in display else ()
+        head = [", ".join(f"t{a}_{b}" for b in range(n)) + f", = t[{a}]" for a in rows]
         name = f"{cell.__name__}_{n}"
-        source = "\n    ".join([f"def {name}(t, u):", *head, f"return {display}"])
+        source = "\n    ".join([f"def {name}(t, u):", *head, f"return ({display})"])
         eval(compile(source, f"<{name}>", "exec"), namespace := {})
         return namespace[name]
 
