@@ -19,19 +19,21 @@ are exactly the central ones does not hold from order 3 up (see
 One compiler, ``_cellwise``, builds ⋄ (``_compose``) and the four derived
 factors of ``factorization`` on raw tables (tuples of tuple rows), each
 from its cell rule: the source of cell (x, y) at order n, an element or an
-expression over the operands that reads a cell of the first operand t as
-a local ``t{x}_{y}`` or by subscript, ``u[t{x}_{y}][t{y}_{x}]`` for ⋄.  At
+expression over the operands that reads a cell of the first operand t as a
+local ``t{x}_{y}`` or by subscript, ``u[t{x}_{y}][t{y}_{x}]`` for ⋄.  At
 each order a map is one function, ``<rule>_<n>``, compiled once per
-process at O(n²) cost.  If its rule reads locals, it first unpacks each
-row of t into them, so that it reads every cell of t once; then it returns
-one tuple display of the n*n cells.  A ⋄ cell costs two subscripts, a cell
-of the signature or skew factor none; the similar factor subscripts its n
-diagonal cells, and the orient factor's display is a constant.
-``verify_claims`` compiles every map at its order (``_compile_maps``)
-before it forks.  ``product`` wraps ⋄'s result in a validated Groupoid;
-``commutes``, the factorization flags and the claim verifier compare its
-raw tables directly and build no Groupoid for intermediate results;
-``is_identity`` compares with the cached left projection table.
+process at O(n²) cost (the first ``classify`` at an order compiles all
+five: about 1 ms at order 3, 3 ms at 8, 11 ms at 16, 0.17 s at 64).  If
+its rule reads locals, it first unpacks each row of t into them, so that
+it reads every cell of t once; then it returns one tuple display of the
+n*n cells.  A ⋄ cell costs two subscripts, a cell of the signature or skew
+factor none; the similar factor subscripts its n diagonal cells, and the
+orient factor's display is a constant.  ``verify_claims`` compiles every
+map at its order (``_compile_maps``) before it forks.  ``product`` wraps
+⋄'s result in a validated Groupoid; ``commutes``, the factorization flags
+and the claim verifier compare its raw tables directly and build no
+Groupoid for intermediate results; ``is_identity`` compares with the
+cached left projection table.
 """
 
 from __future__ import annotations

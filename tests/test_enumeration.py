@@ -462,6 +462,7 @@ class TestVerifyClaims:
         verify_claims(5, sample=200, seed=1, workers=1)
         assert 0 < calls <= 19
 
+    @pytest.mark.skipif(enumeration._fork_context() is None, reason="needs fork")
     def test_maps_compiled_before_the_fork(self, monkeypatch):
         # the parent compiles the order's five maps and the forked workers
         # inherit them; it runs no claim, so it compiles nothing else
