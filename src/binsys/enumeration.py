@@ -30,12 +30,13 @@ operand-valued tables) and the uniqueness counts are raw as well.  A
 Groupoid is built only for a recorded counterexample, or where a claim
 calls ``classify``.
 
-``verify_claims`` splits its claims over forked processes when the job
-is large and the platform can fork; ``BINSYS_THREADS`` (else the CPU
-count) sets the worker count, and results are identical for any worker
-count because the reports are merged in order.  ``verify_claims`` logs
-its phase timings, and ``census`` its elapsed time, to the ``binsys``
-logger at DEBUG.
+When the job is large and the platform can fork, ``verify_claims`` runs
+its claims on W processes: itself and W - 1 forked children, each taking
+the next claim from a shared counter until none remain (``_fan_out``).
+``BINSYS_THREADS`` (else the CPU count) sets W, and results are identical
+for any W because the reports are merged in registry order.
+``verify_claims`` logs its phase timings, and ``census`` its elapsed
+time, to the ``binsys`` logger at DEBUG.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .core import (
     _strong,
 )
 from .axioms import AXIOMS
-from .errors import EXHAUSTIVE_ORDER_LIMIT, OrderTooLarge, PreconditionError
+from .errors import EXHAUSTIVE_ORDER_LIMIT, InternalError, OrderTooLarge, PreconditionError
 from .factorization import (
     _CHOICES,
     _holds,
@@ -119,16 +120,27 @@ def all_groupoids(order: int):
 
 
 def _randbelow_blocks(rng: random.Random, n: int):
-    """The values of successive ``rng.randrange(n)`` calls, in lists.
+    """The values of successive ``rng.randrange(n)`` calls, in blocks.
 
     CPython's ``randrange(n)``, for n < 2**32, takes one 32-bit word per
     try, keeps its top ``n.bit_length()`` bits and tries again while that
-    is >= n.  Each list holds what one ``getrandbits`` call of _BLOCK_WORDS
-    words gives; that call returns the words with the first one in the
-    lowest bits.
+    is >= n.  Each block holds what one ``getrandbits`` call of
+    _BLOCK_WORDS words gives; that call returns the words with the first
+    one in the lowest bits, so in its little-endian bytes every fourth
+    byte, from the fourth on, is the top byte of a word.  For n < 256 the
+    kept bits lie in that byte: one ``bytes.translate`` shifts each top
+    byte and deletes the tries >= n, and the block is those bytes.  Larger
+    n take a list of the words' top bits.
     """
-    shift = 32 - n.bit_length()
     size = 4 * _BLOCK_WORDS
+    if n < 256:
+        shift = 8 - n.bit_length()
+        values = bytes(b >> shift for b in range(256))
+        rejected = bytes(b for b in range(256) if b >> shift >= n)
+        while True:
+            yield rng.getrandbits(8 * size).to_bytes(size, "little")[3::4].translate(
+                values, rejected)
+    shift = 32 - n.bit_length()
     while True:
         words = array("I", rng.getrandbits(8 * size).to_bytes(size, "little"))
         if sys.byteorder == "big":
@@ -174,7 +186,8 @@ def _fork_context():
 
 
 def _resolve_workers(workers, weight):
-    """Worker count: explicit arg, else BINSYS_THREADS, else CPU count.
+    """How many processes run claims, the caller included: explicit arg,
+    else BINSYS_THREADS, else CPU count.
 
     Small jobs (low weight), and every job where processes cannot be
     forked, run in-process.
@@ -828,6 +841,69 @@ def _run_claim(claim_id):
     return report, time.perf_counter() - start
 
 
+def _fan_out(ids, workers):
+    """``_run_claim`` of each id on ``workers`` processes, this one and
+    ``workers - 1`` forked children: the results in the order of ``ids``.
+
+    Each process takes the next claim index from a shared counter until
+    none remain; a child sends back its ``(index, result)`` list, or the
+    exception it hit, through its own pipe.
+    """
+    fork = _fork_context()
+    counter = fork.Value("i", 0)
+
+    def take():
+        taken = []
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(ids):
+                return taken
+            taken.append((i, _run_claim(ids[i])))
+
+    def child(conn):
+        try:
+            conn.send(take())
+        except Exception as exc:
+            conn.send(exc)
+            raise  # multiprocessing prints the child's traceback as it exits
+
+    children = []
+    try:
+        for _ in range(workers - 1):
+            reader, writer = fork.Pipe(duplex=False)
+            proc = fork.Process(target=child, args=(writer,))
+            proc.start()
+            # the child holds the only writer left, so its exit ends the pipe
+            writer.close()
+            children.append((proc, reader))
+        done = take()
+        for proc, reader in children:
+            try:
+                got = reader.recv()
+            except EOFError:
+                proc.join()
+                raise InternalError(
+                    f"a claim worker exited with code {proc.exitcode} "
+                    "before it sent its results"
+                ) from None
+            finally:
+                reader.close()
+            if isinstance(got, Exception):
+                raise got
+            done += got
+        for proc, _ in children:
+            proc.join()
+    finally:
+        for proc, _ in children:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    results = dict(done)
+    return [results[i] for i in range(len(ids))]
+
+
 def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None):
     """Run registered claims exhaustively (order <= EXHAUSTIVE_ORDER_LIMIT)
     or on a seeded sample.
@@ -866,15 +942,17 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         _debug("drew %d order-%d tables in %.3f s", sample, order, time.perf_counter() - start)
     ctx = ClaimContext(order, mode, seed=seed, samples=samples)
     weight = len(samples) * len(selected)
-    workers = _resolve_workers(workers, weight)
+    workers = min(_resolve_workers(workers, weight), len(selected))
     _ACTIVE_CTX = ctx
     try:
-        if workers == 1 or len(selected) == 1:
+        if workers == 1:
             raw = [_run_claim(c.id) for c in selected]
         else:
             _compile_maps(order)  # like the table cache, before any fork
-            with _fork_context().Pool(min(workers, len(selected))) as pool:
-                raw = pool.map(_run_claim, [c.id for c in selected])
+            start = time.perf_counter()
+            raw = _fan_out([c.id for c in selected], workers)
+            _debug("%d claims on %d processes in %.3f s",
+                   len(selected), workers, time.perf_counter() - start)
     finally:
         _ACTIVE_CTX = None
     for report, elapsed in raw:

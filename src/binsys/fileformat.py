@@ -132,10 +132,11 @@ def digraph_to_dot(digraph: Digraph, labels=None) -> str:
 
 
 # whitespace and //, # and /* */ comments, skipped between tokens (never
-# inside a quoted ID); then a token, or the end of the text
+# inside a quoted ID); then a token, or the end of the text.  A bare ID
+# stops before an edge operator, so that a--b is an edge.
 _DOT_TOKEN = re.compile(
     r'(?:\s|//[^\n]*|#[^\n]*|/\*(?s:.*?)\*/)*'
-    r'(?:(--|->|[{};,=])|"((?:[^"\\]|\\.)*)"|((?:(?!//|/\*)[^\s{};,=\[\]"#])+)|(\[)|\Z)'
+    r'(?:(--|->|[{};,=])|"((?:[^"\\]|\\.)*)"|((?:(?!//|/\*|--|->)[^\s{};,=\[\]"#])+)|(\[)|\Z)'
 )
 
 

@@ -4,18 +4,24 @@ import json
 import logging
 import math
 import multiprocessing
+import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 import tables
 from scan_oracles import census_per_pair, randrange_tables, sweep_census
-from binsys import enumeration, semigroup
+from binsys import core, enumeration, semigroup
 from binsys import (
     CLAIMS,
+    Claim,
     Groupoid,
+    InternalError,
     OrderTooLarge,
     PreconditionError,
     REGISTRY,
@@ -126,7 +132,9 @@ class TestRandomTablesMatchRandrange:
         expected = list(randrange_tables(256, 1, seed))
         assert list(enumeration._random_tables(256, 1, seed)) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 19683, 2**31, 2**32 - 1])
+    # 128/129 and 255/256 sit on either side of a bit-length step and of
+    # the cut between the byte path and the word path
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 128, 129, 255, 256, 19683, 2**31, 2**32 - 1])
     def test_values_below_any_bound(self, n):
         rng = random.Random(n)
         expected = [rng.randrange(n) for _ in range(10_000)]
@@ -134,6 +142,13 @@ class TestRandomTablesMatchRandrange:
             enumeration._randbelow_blocks(random.Random(n), n)
         )
         assert list(itertools.islice(values, 10_000)) == expected
+
+    @pytest.mark.parametrize("order", [2, 6, 255])
+    def test_tables_are_frozen(self, order):
+        # the byte path yields ints, so Groupoid keeps a drawn table as it is
+        for t in enumeration._random_tables(order, 3, seed=order):
+            assert core._is_frozen(t)
+            assert Groupoid(t).table is t
 
     def test_lazy(self):
         first = next(enumeration._random_tables(3, 10**12, seed=0))
@@ -262,6 +277,74 @@ class TestWithoutFork:
         forked = [r.to_dict() for r in verify_claims(4, sample=100, seed=2, workers=2)]
         assert probes == ["fork"]
         assert forked == [r.to_dict() for r in verify_claims(4, sample=100, seed=2, workers=1)]
+
+
+@pytest.mark.skipif(enumeration._fork_context() is None, reason="needs fork")
+class TestFanOutFailures:
+    """A claim that raises, or a worker that ends without sending, fails the
+    run at once and leaves no process or thread behind."""
+
+    IDS = ["fan-out-failure"] * 4
+
+    @pytest.fixture
+    def claim(self, monkeypatch):
+        """Install a claim whose runner is ``run(in_parent)``; four copies
+        of it on two processes, so that the child takes at least one."""
+        parent = os.getpid()
+
+        def install(run):
+            monkeypatch.setitem(REGISTRY, self.IDS[0], Claim(
+                self.IDS[0], "", "pass", lambda ctx: run(os.getpid() == parent)))
+
+        return install
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a run that waits for a result that never comes fails here instead of hanging
+        def expire(signum, frame):
+            raise TimeoutError("verify_claims did not return")
+
+        threads = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def run(self):
+        return verify_claims(4, sample=600, seed=1, claims=self.IDS, workers=2)
+
+    @staticmethod
+    def in_child(fail):
+        """A runner that sleeps in the parent and calls ``fail`` in a child."""
+        def run(in_parent):
+            if in_parent:
+                time.sleep(0.2)
+                return 0, [], None
+            return fail()
+
+        return run
+
+    def test_claim_raises_in_a_child(self, claim):
+        claim(self.in_child(lambda: 1 // 0))
+        with pytest.raises(ZeroDivisionError):
+            self.run()
+
+    def test_claim_raises_everywhere(self, claim):
+        claim(lambda in_parent: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            self.run()
+
+    def test_child_exits_without_sending(self, claim):
+        claim(self.in_child(lambda: os._exit(7)))
+        start = time.perf_counter()
+        with pytest.raises(InternalError, match="exited with code 7"):
+            self.run()
+        assert time.perf_counter() - start < 10
 
 
 class TestRegistry:
@@ -396,6 +479,28 @@ class TestVerifyClaims:
         forked = [r.to_dict() for r in verify_claims(2, workers=2)]
         assert base == forked
 
+    @pytest.mark.skipif(enumeration._fork_context() is None, reason="needs fork")
+    def test_shared_counter_with_more_workers_than_cores(self, monkeypatch, tmp_path, caplog):
+        # four claim-running processes share one next-claim counter: a lost
+        # or doubled update would skip or repeat a claim
+        runs = tmp_path / "runs"
+        run_claim = enumeration._run_claim
+
+        def logged(claim_id):
+            with open(runs, "a") as f:
+                f.write(f"{claim_id}\n")
+            return run_claim(claim_id)
+
+        monkeypatch.setattr(enumeration, "_run_claim", logged)
+        monkeypatch.setenv("BINSYS_THREADS", "4")
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        forked = [r.to_dict() for r in verify_claims(4, sample=300, seed=5)]
+        assert sorted(runs.read_text().split()) == sorted(c.id for c in CLAIMS)
+        assert [r.getMessage().split(" in ")[0] for r in caplog.records
+                if " processes in " in r.getMessage()] == [f"{len(CLAIMS)} claims on 4 processes"]
+        monkeypatch.delenv("BINSYS_THREADS")
+        assert forked == [r.to_dict() for r in verify_claims(4, sample=300, seed=5, workers=1)]
+
     def test_counterexample_carries_its_zero(self):
         # the zero-under-test domain draws each constant-diagonal table once,
         # with its diagonal value as the zero; hypothesis and conclusion see
@@ -464,8 +569,8 @@ class TestVerifyClaims:
 
     @pytest.mark.skipif(enumeration._fork_context() is None, reason="needs fork")
     def test_maps_compiled_before_the_fork(self, monkeypatch):
-        # the parent compiles the order's five maps and the forked workers
-        # inherit them; it runs no claim, so it compiles nothing else
+        # the parent compiles the order's five maps before it forks, so
+        # neither it nor the forked workers compile anything else
         compiles = []
 
         def counting_eval(code, namespace):

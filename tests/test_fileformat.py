@@ -143,6 +143,31 @@ class TestParseDot:
         assert names == ("x#1", "y")
 
     @pytest.mark.parametrize(
+        "text, edges, names",
+        [
+            ("graph { a--b; }", [(0, 1)], ("a", "b")),
+            ("graph { 1--2--3 }", [(0, 1), (1, 2)], ("1", "2", "3")),
+            ("graph { x-1--y }", [(0, 1)], ("x-1", "y")),
+        ],
+    )
+    def test_unspaced_edges(self, text, edges, names):
+        # an edge operator ends a bare ID, as in DOT
+        graph, got = parse_dot(text)
+        assert sorted(graph.edges) == edges
+        assert got == names
+
+    def test_unspaced_directed_edge(self):
+        with pytest.raises(ParseError, match="directed edge"):
+            parse_dot("graph { a->b }")
+
+    def test_edge_operators_in_quoted_names(self):
+        g = SimpleGraph(3, [(0, 1), (1, 2)])
+        labels = ("a--b", "c->d", "e")
+        again, names = parse_dot(graph_to_dot(g, labels=labels))
+        assert again == g
+        assert names == labels
+
+    @pytest.mark.parametrize(
         "text",
         [
             "graph { a /* open -- b; }",    # unclosed comment
