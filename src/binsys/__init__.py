@@ -51,7 +51,6 @@ from .errors import (
 from .factorization import (
     METHODS,
     ClassificationReport,
-    FactorizationMethod,
     FactorPair,
     UniquenessReport,
     au_holds,
@@ -124,7 +123,6 @@ __all__ = [
     "Digraph",
     "DiagonalProfile",
     "FactorPair",
-    "FactorizationMethod",
     "Groupoid",
     "InternalError",
     "MissingZero",

@@ -76,7 +76,7 @@ from .factorization import (
     classify,
 )
 from .graphs import _graph_table, all_graphs
-from .semigroup import _compile_maps, _compose, _is_central, _is_identity
+from .semigroup import _compose, _is_central, _is_identity
 
 MAX_COUNTEREXAMPLES = 5
 
@@ -829,11 +829,8 @@ CLAIMS = [
 
 REGISTRY = {c.id: c for c in CLAIMS}
 
-_ACTIVE_CTX: ClaimContext | None = None
 
-
-def _run_claim(claim_id):
-    claim, ctx = REGISTRY[claim_id], _ACTIVE_CTX
+def _run_claim(claim, ctx):
     start = time.perf_counter()
     checked, cexs, note = claim.runner(ctx)
     report = ClaimReport(claim.id, claim.statement, ctx.order, ctx.mode, checked,
@@ -841,13 +838,13 @@ def _run_claim(claim_id):
     return report, time.perf_counter() - start
 
 
-def _fan_out(ids, workers):
-    """``_run_claim`` of each id on ``workers`` processes, this one and
-    ``workers - 1`` forked children: the results in the order of ``ids``.
+def _fan_out(run, count, workers):
+    """``run(i)`` for each i < ``count`` on ``workers`` processes, this one
+    and ``workers - 1`` forked children: the results in index order.
 
-    Each process takes the next claim index from a shared counter until
-    none remain; a child sends back its ``(index, result)`` list, or the
-    exception it hit, through its own pipe.
+    Each process takes the next index from a shared counter until none
+    remain; a child, which inherits ``run`` through the fork, sends back its
+    ``(index, result)`` list, or the exception it hit, through its own pipe.
     """
     fork = _fork_context()
     counter = fork.Value("i", 0)
@@ -858,9 +855,9 @@ def _fan_out(ids, workers):
             with counter.get_lock():
                 i = counter.value
                 counter.value = i + 1
-            if i >= len(ids):
+            if i >= count:
                 return taken
-            taken.append((i, _run_claim(ids[i])))
+            taken.append((i, run(i)))
 
     def child(conn):
         try:
@@ -901,7 +898,7 @@ def _fan_out(ids, workers):
                 proc.terminate()
             proc.join()
     results = dict(done)
-    return [results[i] for i in range(len(ids))]
+    return [results[i] for i in range(count)]
 
 
 def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None):
@@ -909,11 +906,12 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     or on a seeded sample.
 
     Returns one ClaimReport per claim, in registry order — or, when
-    ``claims`` lists specific ids, only those, in the given order.  The
-    ``binsys`` logger gets the time taken to build or draw the tables and
-    each claim's checked count and time, at DEBUG.
+    ``claims`` lists specific ids, only those, in the given order.  Two or
+    more claims on two or more processes run on ``_fan_out``, others
+    in-process.  The ``binsys`` logger gets, at DEBUG, the time taken to
+    build or draw the tables, the fan-out's counts and time, and each
+    claim's checked count and time.
     """
-    global _ACTIVE_CTX
     order = _positive(order)
     if claims is None:
         selected = list(CLAIMS)
@@ -943,18 +941,13 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     ctx = ClaimContext(order, mode, seed=seed, samples=samples)
     weight = len(samples) * len(selected)
     workers = min(_resolve_workers(workers, weight), len(selected))
-    _ACTIVE_CTX = ctx
-    try:
-        if workers == 1:
-            raw = [_run_claim(c.id) for c in selected]
-        else:
-            _compile_maps(order)  # like the table cache, before any fork
-            start = time.perf_counter()
-            raw = _fan_out([c.id for c in selected], workers)
-            _debug("%d claims on %d processes in %.3f s",
-                   len(selected), workers, time.perf_counter() - start)
-    finally:
-        _ACTIVE_CTX = None
+    if workers <= 1:
+        raw = [_run_claim(c, ctx) for c in selected]
+    else:
+        start = time.perf_counter()
+        raw = _fan_out(lambda i: _run_claim(selected[i], ctx), len(selected), workers)
+        _debug("%d claims on %d processes in %.3f s",
+               len(selected), workers, time.perf_counter() - start)
     for report, elapsed in raw:
         _debug("claim %s: %d checked in %.3f s", report.claim, report.checked, elapsed)
     return [report for report, _ in raw]

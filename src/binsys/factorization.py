@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .core import Groupoid, Table, _left_zero_table, _semi_neutral_table, predicate_vector
-from .errors import InternalError, OrderMismatch
+from .errors import InternalError
 from .semigroup import _cellwise, _compose, _pair_map, _same_order, is_identity, product
 
 # uniqueness_search reports exact counts but materializes at most this
@@ -98,31 +98,13 @@ _PAIRS = {
     "jo": (_skew, _orient),
 }
 _FAMILIES = {"u": ("ua", "au"), "j": ("oj", "jo")}
+METHODS = tuple(_PAIRS)
 
 
-@dataclass(frozen=True)
-class FactorizationMethod:
-    name: str
-    derive_left: callable
-    derive_right: callable
-
-
-# the Groupoid twin of each raw derivation
-_PUBLIC = {_signature: signature_factor, _similar: similar_factor,
-           _orient: orient_factor, _skew: skew_factor}
-METHODS = {
-    name: FactorizationMethod(name, _PUBLIC[left], _PUBLIC[right])
-    for name, (left, right) in _PAIRS.items()
-}
-
-
-def _method(name: str) -> FactorizationMethod:
-    try:
-        return METHODS[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise ValueError(
-            f"unknown method {name!r}; expected one of {sorted(METHODS)}"
-        ) from None
+def _method(name: str) -> str:
+    if not isinstance(name, str) or name not in _PAIRS:
+        raise ValueError(f"unknown method {name!r}; expected one of {sorted(METHODS)}")
+    return name
 
 
 @dataclass(frozen=True)
@@ -136,10 +118,10 @@ class FactorPair:
 
 def factorize(g: Groupoid, method="ua") -> FactorPair:
     """Derive the method's canonical factor pair and compose it back."""
-    m = _method(method)
-    lt, rt = m.derive_left(g), m.derive_right(g)
+    method = _method(method)
+    lt, rt = (Groupoid(derive(g.table), labels=g.labels, zero=g.zero) for derive in _PAIRS[method])
     comp = product(lt, rt)
-    return FactorPair(m.name, lt, rt, comp, comp == g)
+    return FactorPair(method, lt, rt, comp, comp == g)
 
 
 def _holds(t: Table, method: str) -> bool:
@@ -238,7 +220,7 @@ def is_partially_prime(g: Groupoid, h: Groupoid, side: str = "left") -> bool:
     """Does g reproduce itself against the non-identity cofactor h?
 
     side "left" tests h ⋄ g = g, side "right" tests g ⋄ h = g.  The
-    identity never counts as a witness (it reproduces everything).
+    identity never counts as h: it reproduces every table.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
@@ -342,10 +324,10 @@ def uniqueness_search(g: Groupoid, method="ua") -> UniquenessReport:
     order.  When more than MATERIALIZE_LIMIT solutions exist only the
     count is exact and the listing is truncated.
     """
-    m = _method(method)
-    derived = factorize(g, m.name)
-    count = _solution_count(g.table, m.name)
-    lefts = _left_solutions(g.table, derived.left.table, m.name) if count else []
+    method = _method(method)
+    derived = factorize(g, method)
+    count = _solution_count(g.table, method)
+    lefts = _left_solutions(g.table, derived.left.table, method) if count else []
     sols = sorted((lt, derived.right.table) for lt in lefts)
     truncated = count > len(sols)
     pairs = tuple(
@@ -356,9 +338,9 @@ def uniqueness_search(g: Groupoid, method="ua") -> UniquenessReport:
     derived_tables = (derived.left.table, derived.right.table)
     others = tuple(p for p in pairs if (p[0].table, p[1].table) != derived_tables)
     if derived.reproduces and derived_tables not in sols and not truncated:
-        raise InternalError(f"derived {m.name} pair missing from solution set")
+        raise InternalError(f"derived {method} pair missing from solution set")
     return UniquenessReport(
-        method=m.name,
+        method=method,
         derived=derived,
         solution_count=count,
         solutions=pairs,
@@ -367,25 +349,18 @@ def uniqueness_search(g: Groupoid, method="ua") -> UniquenessReport:
     )
 
 
-def binary_equivalent(a: Groupoid, b: Groupoid, witness: Groupoid | None = None):
+def binary_equivalent(a: Groupoid, b: Groupoid):
     """A table w with w ⋄ a = b and w ⋄ b = a, or None; any order.
 
-    A supplied witness is checked first.  Otherwise (and when the witness
-    fails) w is built through the pair maps: the equations read
+    w is built through the pair maps: the equations read
     φ_a[φ_w[i]] = φ_b[i] and φ_b[φ_w[i]] = φ_a[i] cell by cell, and φ_w is
     chosen independently on each swap orbit {(x, y), (y, x)}, a diagonal
     cell going to a diagonal cell.  Taking the smallest choice in each
-    orbit gives the lexicographically first witness among all tables.  As
-    with ``product``, the built witness keeps labels (and likewise zero)
-    only when a and b agree on them.
+    orbit gives the lexicographically first such w among all tables.  As
+    with ``product``, w keeps labels (and likewise zero) only when a and b
+    agree on them.
     """
     _same_order(a, b)
-    if witness is not None:
-        if witness.order != a.order:
-            raise OrderMismatch(f"witness order {witness.order} != {a.order}")
-        wt = witness.table
-        if _compose(wt, a.table) == b.table and _compose(wt, b.table) == a.table:
-            return witness
     n = a.order
     pa, pb = _pair_map(a), _pair_map(b)
     # (φ_a[j], φ_b[j]) -> smallest such j, over all cells and over the diagonal

@@ -104,10 +104,12 @@ def serialize_groupoid(g: Groupoid) -> str:
 # --- DOT subset ---
 
 _BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$|[0-9]+$")
+# Graphviz reads these, in any letter case, as keywords unless quoted
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 
 def _dot_name(name: str) -> str:
-    if _BARE_ID.match(name):
+    if _BARE_ID.match(name) and name.lower() not in _DOT_KEYWORDS:
         return name
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -133,10 +135,11 @@ def digraph_to_dot(digraph: Digraph, labels=None) -> str:
 
 # whitespace and //, # and /* */ comments, skipped between tokens (never
 # inside a quoted ID); then a token, or the end of the text.  A bare ID
-# stops before an edge operator, so that a--b is an edge.
+# stops before an edge operator, so that a--b is an edge.  A quoted ID keeps
+# its quotes, so that "--" or "}" is never read as punctuation.
 _DOT_TOKEN = re.compile(
     r'(?:\s|//[^\n]*|#[^\n]*|/\*(?s:.*?)\*/)*'
-    r'(?:(--|->|[{};,=])|"((?:[^"\\]|\\.)*)"|((?:(?!//|/\*|--|->)[^\s{};,=\[\]"#])+)|(\[)|\Z)'
+    r'(?:(--|->|[{};,=])|("(?:[^"\\]|\\.)*")|((?:(?!//|/\*|--|->)[^\s{};,=\[\]"#])+)|(\[)|\Z)'
 )
 
 
@@ -148,12 +151,9 @@ def _dot_tokens(text: str):
             raise ParseError(f"bad DOT syntax near {text[pos:pos + 20]!r}")
         if m.group(4):
             raise ParseError("DOT attributes are not supported")
-        if m.group(2) is not None:
-            yield re.sub(r'\\(.)', r'\1', m.group(2))
-        elif m.lastindex is None:
+        if m.lastindex is None:
             return
-        else:
-            yield m.group(m.lastindex)
+        yield m.group(m.lastindex)
         pos = m.end()
 
 
@@ -182,6 +182,8 @@ def parse_dot(text: str):
     def vertex(name: str) -> int:
         if name in ("{", "}", ";", ",", "--", "->", "="):
             raise ParseError(f"expected a vertex name, found {name!r}")
+        if name[0] == '"':
+            name = re.sub(r'\\(.)', r'\1', name[1:-1])
         if name not in index:
             index[name] = len(names)
             names.append(name)

@@ -28,12 +28,11 @@ its rule reads locals, it first unpacks each row of t into them, so that
 it reads every cell of t once; then it returns one tuple display of the
 n*n cells.  A ⋄ cell costs two subscripts, a cell of the signature or skew
 factor none; the similar factor subscripts its n diagonal cells, and the
-orient factor's display is a constant.  ``verify_claims`` compiles every
-map at its order (``_compile_maps``) before it forks.  ``product`` wraps
-⋄'s result in a validated Groupoid; ``commutes``, the factorization flags
-and the claim verifier compare its raw tables directly and build no
-Groupoid for intermediate results; ``is_identity`` compares with the
-cached left projection table.
+orient factor's display is a constant.  ``product`` wraps ⋄'s result in
+a validated Groupoid; ``commutes``, the factorization flags and the claim
+verifier compare its raw tables directly and build no Groupoid for
+intermediate results; ``is_identity`` compares with the cached left
+projection table.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from functools import cache
 
 from .core import Groupoid, Table, _left_zero_table, _right_zero_table
 from .errors import OrderMismatch
-
-# every map's per-order compiler, so that a run can compile them all before it forks
-_COMPILERS = []
 
 
 def _cellwise(cell):
@@ -69,16 +65,9 @@ def _cellwise(cell):
         eval(compile(source, f"<{name}>", "exec"), namespace := {})
         return namespace[name]
 
-    _COMPILERS.append(compiled)
     mapped = lambda t, u=None: compiled(len(t))(t, u)
     mapped.at = compiled  # the map compiled for an order, called without dispatch
     return mapped
-
-
-def _compile_maps(n: int) -> None:
-    """Compile every map at order n, so that forked workers inherit them."""
-    for compiled in _COMPILERS:
-        compiled(n)
 
 
 # the table of t ⋄ u from the tables of t and u (same order)

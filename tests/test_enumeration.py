@@ -34,6 +34,12 @@ from binsys import (
 )
 
 
+def fan_outs(caplog) -> list[str]:
+    """The fan-out's "N claims on W processes" DEBUG records, untimed."""
+    return [r.getMessage().split(" in ")[0] for r in caplog.records
+            if " processes in " in r.getMessage()]
+
+
 class TestAllGroupoids:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 16), (3, 19683)])
     def test_counts(self, n, count):
@@ -247,10 +253,15 @@ class TestThreadsEnv:
         with pytest.raises(PreconditionError):
             verify_claims(2)
 
-    def test_env_respected(self, monkeypatch):
+    def test_env_respected(self, monkeypatch, caplog):
         monkeypatch.setenv("BINSYS_THREADS", "2")
         text = json.dumps([r.to_dict() for r in verify_claims(2)])
         assert hashlib.sha256(text.encode()).hexdigest() == tables.VERIFY_DIGESTS[2]
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        forked = [r.to_dict() for r in verify_claims(4, sample=100, seed=4)]
+        assert fan_outs(caplog) == ([f"{len(CLAIMS)} claims on 2 processes"]
+                                    if enumeration._fork_context() else [])
+        assert forked == [r.to_dict() for r in verify_claims(4, sample=100, seed=4, workers=1)]
 
 
 class TestWithoutFork:
@@ -277,6 +288,10 @@ class TestWithoutFork:
         forked = [r.to_dict() for r in verify_claims(4, sample=100, seed=2, workers=2)]
         assert probes == ["fork"]
         assert forked == [r.to_dict() for r in verify_claims(4, sample=100, seed=2, workers=1)]
+
+    def test_no_claims(self, probes):
+        # no claim to run: in-process, and the fan-out is never reached
+        assert verify_claims(4, sample=100, seed=2, claims=[], workers=2) == []
 
 
 @pytest.mark.skipif(enumeration._fork_context() is None, reason="needs fork")
@@ -474,10 +489,18 @@ class TestVerifyClaims:
         assert d["checked"] == 16
         assert d["counterexamples"] == []
 
-    def test_workers_do_not_change_reports(self):
-        base = [r.to_dict() for r in verify_claims(2)]
-        forked = [r.to_dict() for r in verify_claims(2, workers=2)]
-        assert base == forked
+    def test_workers_do_not_change_reports(self, caplog):
+        # 100 tables x 40 claims is heavy enough for the fan-out
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        forked = [r.to_dict() for r in verify_claims(4, sample=100, seed=4, workers=2)]
+        assert fan_outs(caplog) == ([f"{len(CLAIMS)} claims on 2 processes"]
+                                    if enumeration._fork_context() else [])
+        assert forked == [r.to_dict() for r in verify_claims(4, sample=100, seed=4, workers=1)]
+
+    def test_no_claims(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        assert verify_claims(3, claims=[], workers=2) == []
+        assert fan_outs(caplog) == []
 
     @pytest.mark.skipif(enumeration._fork_context() is None, reason="needs fork")
     def test_shared_counter_with_more_workers_than_cores(self, monkeypatch, tmp_path, caplog):
@@ -486,18 +509,17 @@ class TestVerifyClaims:
         runs = tmp_path / "runs"
         run_claim = enumeration._run_claim
 
-        def logged(claim_id):
+        def logged(claim, ctx):
             with open(runs, "a") as f:
-                f.write(f"{claim_id}\n")
-            return run_claim(claim_id)
+                f.write(f"{claim.id}\n")
+            return run_claim(claim, ctx)
 
         monkeypatch.setattr(enumeration, "_run_claim", logged)
         monkeypatch.setenv("BINSYS_THREADS", "4")
         caplog.set_level(logging.DEBUG, logger="binsys")
         forked = [r.to_dict() for r in verify_claims(4, sample=300, seed=5)]
         assert sorted(runs.read_text().split()) == sorted(c.id for c in CLAIMS)
-        assert [r.getMessage().split(" in ")[0] for r in caplog.records
-                if " processes in " in r.getMessage()] == [f"{len(CLAIMS)} claims on 4 processes"]
+        assert fan_outs(caplog) == [f"{len(CLAIMS)} claims on 4 processes"]
         monkeypatch.delenv("BINSYS_THREADS")
         assert forked == [r.to_dict() for r in verify_claims(4, sample=300, seed=5, workers=1)]
 
@@ -567,24 +589,6 @@ class TestVerifyClaims:
         verify_claims(5, sample=200, seed=1, workers=1)
         assert 0 < calls <= 19
 
-    @pytest.mark.skipif(enumeration._fork_context() is None, reason="needs fork")
-    def test_maps_compiled_before_the_fork(self, monkeypatch):
-        # the parent compiles the order's five maps before it forks, so
-        # neither it nor the forked workers compile anything else
-        compiles = []
-
-        def counting_eval(code, namespace):
-            compiles.append(code.co_filename)
-            return eval(code, namespace)
-
-        monkeypatch.setattr(semigroup, "eval", counting_eval, raising=False)
-        for compiled in semigroup._COMPILERS:
-            compiled.cache_clear()
-        verify_claims(5, sample=100, seed=1, workers=2)
-        assert sorted(compiles) == sorted(
-            f"<{name}_5>" for name in ("_compose", "_signature", "_similar", "_orient", "_skew")
-        )
-
     def test_debug_log(self, caplog):
         caplog.set_level(logging.DEBUG, logger="binsys")
         verify_claims(2, claims=["thm-2.4-identity", "prop-5.9-magma"])
@@ -624,8 +628,6 @@ class TestAssociativeClaim:
         # the claim checks whichever ⋄ the verifier binds, through the map
         # compiled for the order: one wrong cell, (0, 1) read as
         # h(g(0, 1), g(0, 1)), must fail it
-        monkeypatch.setattr(semigroup, "_COMPILERS", list(semigroup._COMPILERS))
-
         @semigroup._cellwise
         def wrong(n, x, y):
             return "u[t0_1][t0_1]" if (x, y) == (0, 1) else f"u[t{x}_{y}][t{y}_{x}]"

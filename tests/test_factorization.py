@@ -117,18 +117,22 @@ class TestFactorize:
         assert set(METHODS) == {"ua", "au", "oj", "jo"}
 
     def test_methods_follow_the_method_table(self):
-        # METHODS derives the Groupoid twins of the raw pairs in _PAIRS,
-        # and the report has a flag per method and per family, in the
-        # order classify fills them from the two tables
+        # METHODS names the methods of _PAIRS, factorize derives each
+        # method's pair from those raw derivations, and the report has a
+        # flag per method and per family, in the order classify fills them
+        # from the two tables
         pairs, families = factorization._PAIRS, factorization._FAMILIES
-        assert set(pairs) == set(METHODS)
+        assert METHODS == tuple(pairs)
         assert sorted(m for methods in families.values() for m in methods) == sorted(pairs)
-        samples = [groupoid(t) for t in (tables.BCK3, tables.OP4, tables.LOC6, tables.RAND5)]
+        samples = [groupoid(t, zero=0)
+                   for t in (tables.BCK3, tables.OP4, tables.LOC6, tables.RAND5)]
         for method, (left, right) in pairs.items():
-            m = METHODS[method]
             for g in [*all_groupoids(2), *samples]:
-                assert m.derive_left(g).table == left(g.table), (method, g)
-                assert m.derive_right(g).table == right(g.table), (method, g)
+                pair = factorize(g, method)
+                assert pair.method == method
+                assert pair.left.table == left(g.table), (method, g)
+                assert pair.right.table == right(g.table), (method, g)
+                assert (pair.left.zero, pair.right.zero) == (g.zero, g.zero)
         names = [f.name for f in dataclasses.fields(ClassificationReport)]
         assert names[6:18] == (
             [f"{m}_holds" for m in pairs] + [f"{m}_composite" for m in pairs]
@@ -399,8 +403,10 @@ class TestBinaryEquivalent:
         g = groupoid(tables.LOC6)
         j = groupoid(tables.LOC6_J)
         o = groupoid(tables.LOC6_O)
-        # the orient factor swaps the table with its skew factor
-        assert binary_equivalent(g, j, witness=o)
+        # the orient factor swaps the table with its skew factor, so the
+        # two are equivalent
+        assert product(o, g) == j and product(o, j) == g
+        assert binary_equivalent(g, j)
 
     def test_built_witness_metadata_follows_product(self):
         a = right_zero(3, labels="pqr", zero=0)
@@ -410,10 +416,6 @@ class TestBinaryEquivalent:
         assert (w.labels, w.zero) == (("p", "q", "r"), None)
         w = binary_equivalent(a, right_zero(3, labels="xyz", zero=0))
         assert (w.labels, w.zero) == (None, 0)
-
-    def test_bad_witness_falls_back_to_search(self):
-        a = right_zero(2)
-        assert binary_equivalent(a, a, witness=groupoid([[0, 0], [0, 0]]))
 
     def test_reflexive_via_identity(self):
         assert binary_equivalent(right_zero(3), right_zero(3))
@@ -441,12 +443,6 @@ class TestBinaryEquivalent:
         j = groupoid(tables.LOC6_J)
         w = binary_equivalent(g, j)
         assert product(w, g) == j and product(w, j) == g
-
-    def test_witness_is_checked_at_any_order(self):
-        g = groupoid(tables.LOC6)
-        j = groupoid(tables.LOC6_J)
-        o = groupoid(tables.LOC6_O)
-        assert binary_equivalent(g, j, witness=o) is o
 
 
 class TestBinaryEquivalentMatchesScan:

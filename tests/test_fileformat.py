@@ -167,6 +167,28 @@ class TestParseDot:
         assert again == g
         assert names == labels
 
+    def test_punctuation_as_quoted_names(self):
+        # a quoted ID is a name even when it spells an operator or a brace
+        g = SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)])
+        labels = ("--", "->", "{", "}", ";", ",", "=")
+        again, names = parse_dot(graph_to_dot(g, labels=labels))
+        assert again == g
+        assert names == labels
+
+    def test_keywords_are_quoted(self):
+        # Graphviz reads node, edge, graph, digraph, subgraph and strict as
+        # keywords in any letter case unless they are quoted
+        g = SimpleGraph(2, [(0, 1)])
+        out = graph_to_dot(g, labels=("node", "Edge"))
+        assert out == 'graph {\n  "node";\n  "Edge";\n  "node" -- "Edge";\n}\n'
+        assert parse_dot(out) == (g, ("node", "Edge"))
+        out = digraph_to_dot(Digraph(5, [(0, 4)]),
+                             labels=("GRAPH", "digraph", "Subgraph", "strict", "nodes"))
+        assert out.splitlines()[1:] == [
+            '  "GRAPH";', '  "digraph";', '  "Subgraph";', '  "strict";', "  nodes;",
+            '  "GRAPH" -> nodes;', "}",
+        ]
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -177,6 +199,7 @@ class TestParseDot:
             "graph { a [color=red]; }",     # attributes unsupported
             "graph { a -- b; } trailing",   # content after the block
             "graph a -- b;",                # missing braces
+            '"graph" { a; }',               # a quoted keyword is a name
         ],
     )
     def test_rejects(self, text):

@@ -7,6 +7,7 @@ benchmark run (``perfbench/layers.py``) wraps must still exist, and the
 calls the benchmark workloads make must still bind.
 The package exports the names it imports eagerly plus those of its lazy
 table, each the very object its module defines.
+The README's Python API example runs as written.
 """
 
 import ast
@@ -199,3 +200,10 @@ assert set(binsys.__all__) <= set(namespace)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_example_runs():
+    # the README's "Python API" block runs as written
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
