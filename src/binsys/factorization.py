@@ -308,12 +308,11 @@ def _left_solutions(t, left, method):
     found = _CHOICES[method](t)
     table = [list(row) for row in left]
     lefts = []
-    for combo in itertools.product(*(choices for _, choices in found)):
+    combos = itertools.product(*(choices for _, choices in found))
+    for combo in itertools.islice(combos, MATERIALIZE_LIMIT):
         for ((x, y), _), (p, q) in zip(found, combo):
             table[x][y], table[y][x] = p, q
         lefts.append(tuple(map(tuple, table)))
-        if len(lefts) >= MATERIALIZE_LIMIT:
-            break
     return lefts
 
 

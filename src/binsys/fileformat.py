@@ -180,7 +180,7 @@ def parse_dot(text: str):
     index: dict[str, int] = {}
 
     def vertex(name: str) -> int:
-        if name in ("{", "}", ";", ",", "--", "->", "="):
+        if name in ("{", "}", ";", ",", "--", "->", "=") or name.lower() in _DOT_KEYWORDS:
             raise ParseError(f"expected a vertex name, found {name!r}")
         if name[0] == '"':
             name = re.sub(r'\\(.)', r'\1', name[1:-1])

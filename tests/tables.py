@@ -204,12 +204,26 @@ CENSUS3 = {
 
 # SHA-256 of json.dumps([r.to_dict() for r in reports]) for
 # verify_claims(order) at orders 2 and 3 and
-# verify_claims(order, sample=200, seed=1) at orders 4, 5 and 6.  The sampled reports pin the seeded side streams (random triples,
-# locally-zero and operand-valued pools) as well as the main sample.
+# verify_claims(order, sample=200, seed=1) at orders 4, 5 and 6.  The
+# sampled reports pin the main sample, but of the seeded side streams
+# (random triples, locally-zero and operand-valued pools) only their
+# counts: every side-domain claim passes at orders 4-6, so no side table
+# reaches a report.  SIDE_DIGESTS pins the side tables themselves.
 VERIFY_DIGESTS = {
     2: "2290a3fba785587cd1f1f9e6ef4f01a67e92e58568f90f06f193a8a891cff9c7",
     3: "54c614979e61d3bcedcde0e0497542851db0ccd69b236c73c7040a903b1be0dd",
     4: "44000e04dec3dd9899a432cf9213e0e20428ba6ac0abb107c51ce111887c6835",
     5: "a37946c0edfd88a19972d2b70bb09c5959d2bc7d5fd2898f06c94c33ca1eba84",
     6: "c04bfe425150ab1ed6ba4f16928e3ec5c912e84a6db87ca6c86aba37602f265d",
+}
+
+# SHA-256 of repr(list(ctx.op_tables())) and repr(list(ctx.locally_zero_tables()))
+# for a sampled ClaimContext of the order with seed 1 and 50 main-domain tables
+SIDE_DIGESTS = {
+    4: ("8c9176cb9d547055310bd1f19c677c0e88dea6434ca03a3d9f4d84843f3e6ade",
+        "656aa00d09b432f767fa5818fd83decff90788cd3506bc9cc7ca18bec5f6391a"),
+    5: ("d0419cf3509bc90cc9770b212c3d7c0edfd26bffd4ed3ddcdc9a8a6ab1206be4",
+        "a1507b6f406affce1f1f63ed354a96283e801a7c6db7e42e6810700ad8cf88f4"),
+    6: ("7986a529114befac7d6f43a917f933757c233890ed5b9fc2c501a97f49fff391",
+        "63ac0581de38b7d187d1faddaccd3ad9e596c81abfe8c16f2eff6986dee80f61"),
 }

@@ -638,6 +638,29 @@ class TestAssociativeClaim:
         assert rep.counterexamples
 
 
+class TestSideDomains:
+    """The seeded side domains of a sampled run, which the claims over them
+    (all passing at these orders) never expose in a report."""
+
+    @staticmethod
+    def draws(order, seed):
+        samples = tuple(enumeration._random_tables(order, 50, seed))
+        ctx = enumeration.ClaimContext(order, "sampled", seed=seed, samples=samples)
+        return list(ctx.op_tables()), list(ctx.locally_zero_tables())
+
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    def test_seeded_draws(self, order):
+        op, lz = self.draws(order, 1)
+        assert len(op) == len(lz) == 50
+        assert all(map(core._orientation, op))
+        assert all(map(core._locally_zero, lz))
+        assert self.draws(order, 1) == (op, lz)
+        other_op, other_lz = self.draws(order, 2)
+        assert other_op != op and other_lz != lz
+        digests = tuple(hashlib.sha256(repr(d).encode()).hexdigest() for d in (op, lz))
+        assert digests == tables.SIDE_DIGESTS[order]
+
+
 class TestCenterAgreementClaim:
     def test_passes_below_order_three(self):
         reports = {r.claim: r for r in verify_claims(2)}

@@ -200,6 +200,8 @@ class TestParseDot:
             "graph { a -- b; } trailing",   # content after the block
             "graph a -- b;",                # missing braces
             '"graph" { a; }',               # a quoted keyword is a name
+            "graph { node; }",              # a bare keyword is no vertex name
+            "graph { Edge -- x }",          # in any letter case
         ],
     )
     def test_rejects(self, text):
