@@ -2,15 +2,16 @@
 
 Every axiom is a universally quantified identity (or implication) over the
 groupoid's elements, most of them referencing a distinguished element 0.
-An ``Axiom`` holds it as data, ``law(t, z, *elements)`` at one tuple of
-``arity`` elements; ``Axiom.check`` is the one quantifier over all tuples.
+An ``Axiom`` (a named tuple) holds it as data, ``law(t, z, *elements)`` at
+one tuple of ``arity`` elements; ``Axiom.check`` is the one quantifier over
+all tuples.
 ``axiom_vector`` evaluates all of them; ``algebra_classes`` names the
 standard axiom bundles a table satisfies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import product as tuples, starmap
 
@@ -18,13 +19,8 @@ from .core import Groupoid, _strong, is_semi_neutral
 from .errors import MissingZero
 
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
-    needs_zero: bool
-    description: str
-    arity: int
-    law: callable
+class Axiom(namedtuple("Axiom", "name needs_zero description arity law")):
+    __slots__ = ()
 
     def check(self, t, n, z) -> bool:
         """Whether the law holds at every ``arity``-tuple of the n elements

@@ -5,11 +5,15 @@ stored row-major: ``table[x][y]`` is x∘y (row = left operand).  Element
 labels and a distinguished "zero" element are presentation metadata: two
 groupoids are equal exactly when their tables are equal, regardless of
 labels or zero.
+
+``Groupoid`` is a plain class with fixed fields, and every report record
+of the package is a named tuple: no module imports ``dataclasses``, which
+would load ``inspect`` at every command's start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from itertools import chain
 from operator import eq, index as as_index
@@ -66,20 +70,25 @@ def _elements(order: int) -> frozenset:
     return frozenset(range(order))
 
 
-@dataclass(frozen=True)
 class Groupoid:
     """An order-n magma: validated n×n table over 0..n-1.
 
     ``labels`` (optional) names the elements in index order; ``zero``
     (optional) is the index of a distinguished element used by the
     logic-algebra axioms.  Neither participates in equality or hashing.
+    Instances are immutable: assigning or deleting a field raises
+    AttributeError.
     """
 
-    table: Table
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
-    zero: int | None = field(default=None, compare=False)
+    def __init__(self, table: Table, labels: tuple[str, ...] | None = None,
+                 zero: int | None = None):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "zero", zero)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate and normalize the fields; ``__init__`` calls it last."""
         table = self.table
         if not _is_frozen(table):
             table = _freeze_table(table)
@@ -109,6 +118,20 @@ class Groupoid:
                 raise BadLabels("labels must be non-empty, without whitespace or '#'")
         if self.zero is not None:
             object.__setattr__(self, "zero", _zero_index(self.zero, n))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self):
+        return hash((self.table,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def order(self) -> int:
@@ -190,8 +213,7 @@ def semi_neutral_groupoid(order: int, zero: int = 0, labels=None) -> Groupoid:
 
 # --- diagonals ---
 
-@dataclass(frozen=True)
-class DiagonalProfile:
+class DiagonalProfile(namedtuple("DiagonalProfile", "main anti reverse skew")):
     """The four reading orders of a table's two diagonals.
 
     main   : (x,x) cells, top-left to bottom-right
@@ -200,10 +222,7 @@ class DiagonalProfile:
     skew   : anti diagonal read backwards
     """
 
-    main: tuple[int, ...]
-    anti: tuple[int, ...]
-    reverse: tuple[int, ...]
-    skew: tuple[int, ...]
+    __slots__ = ()
 
 
 def diagonal_profile(g: Groupoid) -> DiagonalProfile:

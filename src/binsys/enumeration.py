@@ -37,6 +37,9 @@ the next claim from a shared counter until none remain (``_fan_out``).
 for any W because the reports are merged in registry order.
 ``verify_claims`` logs its phase timings, and ``census`` its elapsed
 time, to the ``binsys`` logger at DEBUG.
+
+``CensusReport`` and ``ClaimReport`` are named tuples; a ``Claim`` is a
+plain class, its fields entries of its instance dict.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import random
 import sys
 import time
 from array import array
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .core import (
     Groupoid,
@@ -204,11 +207,8 @@ def _resolve_workers(workers, weight):
 
 # --- census ---
 
-@dataclass(frozen=True)
-class CensusReport:
-    order: int
-    total: int
-    counts: dict
+class CensusReport(namedtuple("CensusReport", "order total counts")):
+    __slots__ = ()
 
 
 # Every census flag is a condition on the diagonal together with conditions
@@ -323,28 +323,29 @@ def census(order: int, workers=None) -> CensusReport:
 
 # --- claim registry ---
 
-@dataclass(frozen=True)
 class Claim:
-    id: str
-    statement: str
-    expected: str  # "pass", or "fail" for statements kept as documented breaks
-    runner: callable
+    """A registered statement; ``runner(ctx)`` returns its ClaimReport."""
+
+    def __init__(self, id: str, statement: str, expected: str, runner):
+        self.id = id
+        self.statement = statement
+        self.expected = expected  # "pass", or "fail" for statements kept as documented breaks
+        self.runner = runner
+
+    def __repr__(self):
+        return (f"Claim(id={self.id!r}, statement={self.statement!r}, "
+                f"expected={self.expected!r}, runner={self.runner!r})")
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    claim: str
-    statement: str
-    order: int
-    mode: str
-    checked: int
-    passed: bool
-    expected: str
-    counterexamples: tuple
-    note: str | None = None
+class ClaimReport(namedtuple(
+    "ClaimReport",
+    "claim statement order mode checked passed expected counterexamples note",
+    defaults=(None,),
+)):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["counterexamples"] = [
             {"table": [list(r) for r in g.table], "zero": g.zero}
             for g in self.counterexamples
@@ -509,14 +510,13 @@ def _unique(method):
 
 
 def _is_abelian_group(t):
+    # the cheap symmetry test first: most tables fail it
+    if not _abelian(t):
+        return False
     n = len(t)
-    e = next(
-        (c for c in range(n)
-         if all(t[c][x] == x for x in range(n))
-         and all(t[x][c] == x for x in range(n))),
-        None,
-    )
-    if e is None or not _abelian(t):
+    # on an abelian table a left identity is two-sided
+    e = next((c for c in range(n) if all(t[c][x] == x for x in range(n))), None)
+    if e is None:
         return False
     if any(all(t[x][y] != e for y in range(n)) for x in range(n)):
         return False

@@ -18,13 +18,16 @@ For each method the derived pair is cheap to compute, and
 ``uniqueness_search`` counts *all* in-shape factorizations of a target by
 exploiting that the composite's cells depend on the candidate cells one
 symmetric pair at a time.
+
+``FactorPair``, ``ClassificationReport`` and ``UniquenessReport`` are
+named tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .core import Groupoid, Table, _left_zero_table, _semi_neutral_table, predicate_vector
 from .errors import InternalError
@@ -107,13 +110,8 @@ def _method(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class FactorPair:
-    method: str
-    left: Groupoid
-    right: Groupoid
-    composed: Groupoid
-    reproduces: bool
+class FactorPair(namedtuple("FactorPair", "method left right composed reproduces")):
+    __slots__ = ()
 
 
 def factorize(g: Groupoid, method="ua") -> FactorPair:
@@ -148,40 +146,21 @@ def jo_holds(g: Groupoid) -> bool:
 
 # --- classification ---
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(namedtuple("ClassificationReport", (
+    "order predicates signature_prime similar_prime orient_prime skew_prime"
+    " ua_holds au_holds oj_holds jo_holds ua_composite au_composite oj_composite jo_composite"
+    " u_composite j_composite u_normal j_normal semi_normal semi_composite"
+))):
     """Primeness/compositeness flags for one table.
 
     The semi_* fields need a distinguished zero on the target (the derived
     factors inherit it) and are None when it is absent.
     """
 
-    order: int
-    predicates: dict
-    signature_prime: bool
-    similar_prime: bool
-    orient_prime: bool
-    skew_prime: bool
-    ua_holds: bool
-    au_holds: bool
-    oj_holds: bool
-    jo_holds: bool
-    ua_composite: bool
-    au_composite: bool
-    oj_composite: bool
-    jo_composite: bool
-    u_composite: bool
-    j_composite: bool
-    u_normal: bool
-    j_normal: bool
-    semi_normal: bool | None
-    semi_composite: bool | None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return self._asdict()
 
 
 def classify(g: Groupoid) -> ClassificationReport:
@@ -234,14 +213,10 @@ def is_partially_prime(g: Groupoid, h: Groupoid, side: str = "left") -> bool:
 
 # --- uniqueness of in-shape factorizations ---
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    method: str
-    derived: FactorPair
-    solution_count: int
-    solutions: tuple
-    other_solutions: tuple
-    truncated: bool
+class UniquenessReport(namedtuple(
+    "UniquenessReport", "method derived solution_count solutions other_solutions truncated"
+)):
+    __slots__ = ()
 
 
 # The ua and jo solutions keep the derived right factor and vary the left

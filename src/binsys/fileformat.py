@@ -13,7 +13,9 @@ rows of n element names (row = left operand):
 
 The DOT subset covers plain undirected/directed graphs with standalone
 node statements and edge statements, no attributes: vertices keep their
-order of first appearance.
+order of first appearance.  The graph's name and each vertex name is an
+ID: a bare DOT keyword (``node``, ``graph``, ... in any letter case) is
+none, a quoted one is.
 """
 
 from __future__ import annotations
@@ -157,6 +159,13 @@ def _dot_tokens(text: str):
         pos = m.end()
 
 
+def _dot_id(token: str, expected: str) -> None:
+    """ParseError unless the token is an ID: not punctuation, and not a
+    bare keyword in any letter case (a quoted one is an ID)."""
+    if token in ("{", "}", ";", ",", "--", "->", "=") or token.lower() in _DOT_KEYWORDS:
+        raise ParseError(f"expected {expected}, found {token!r}")
+
+
 def parse_dot(text: str):
     """Read an undirected DOT graph.
 
@@ -172,7 +181,8 @@ def parse_dot(text: str):
         raise ParseError("expected 'graph' keyword")
     pos += 1
     if pos < len(tokens) and tokens[pos] != "{":
-        pos += 1  # optional graph name
+        _dot_id(tokens[pos], "a graph name or '{'")  # optional graph name
+        pos += 1
     if pos >= len(tokens) or tokens[pos] != "{":
         raise ParseError("expected '{'")
     pos += 1
@@ -180,8 +190,7 @@ def parse_dot(text: str):
     index: dict[str, int] = {}
 
     def vertex(name: str) -> int:
-        if name in ("{", "}", ";", ",", "--", "->", "=") or name.lower() in _DOT_KEYWORDS:
-            raise ParseError(f"expected a vertex name, found {name!r}")
+        _dot_id(name, "a vertex name")
         if name[0] == '"':
             name = re.sub(r'\\(.)', r'\1', name[1:-1])
         if name not in index:

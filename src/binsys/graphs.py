@@ -4,11 +4,14 @@ An edge {x, y} stands for a pair where each element wins its own row
 (t[x][y] = x and t[y][x] = y); a non-edge is encoded the opposite way.
 Tables built from graphs are always locally zero, and on that class the
 two translations are mutually inverse.
+
+``SimpleGraph`` and ``Digraph`` are named tuples whose constructors check
+and normalize the vertex pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from operator import index
 
@@ -33,31 +36,25 @@ def _vertex_pairs(order, pairs, noun) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(namedtuple("SimpleGraph", "order edges")):
     """Undirected loopless graph; edges stored as sorted index pairs."""
 
-    order: int
-    edges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        order = _positive(self.order, error=BadShape)
-        edges = _vertex_pairs(order, self.edges, "edge")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "edges", frozenset((min(e), max(e)) for e in edges))
+    def __new__(cls, order: int, edges):
+        order = _positive(order, error=BadShape)
+        edges = _vertex_pairs(order, edges, "edge")
+        return super().__new__(cls, order, frozenset((min(e), max(e)) for e in edges))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(namedtuple("Digraph", "order arcs")):
     """Directed loopless graph; arcs are ordered index pairs."""
 
-    order: int
-    arcs: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        order = _positive(self.order, error=BadShape)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "arcs", frozenset(_vertex_pairs(order, self.arcs, "arc")))
+    def __new__(cls, order: int, arcs):
+        order = _positive(order, error=BadShape)
+        return super().__new__(cls, order, frozenset(_vertex_pairs(order, arcs, "arc")))
 
 
 def to_graph(g: Groupoid) -> SimpleGraph:

@@ -129,7 +129,7 @@ def sweep_census(order):
     for g in all_groupoids(order):
         report = classify(g)
         # the first keys name predicates, the rest report fields
-        flags = {**report.predicates, **vars(report)}
+        flags = {**report.predicates, **report.to_dict()}
         for key in CENSUS_KEYS:
             counts[key] += flags[key]
     return counts

@@ -238,6 +238,14 @@ class TestParseFailures:
         assert code == 1
         assert "undeclared" in err
 
+    def test_keyword_graph_name(self, capsys, tmp_path):
+        f = tmp_path / "node.dot"
+        f.write_text("graph node { a -- b; }\n")
+        code, out, err = run(capsys, "graph", "from-dot", str(f))
+        assert code == 1
+        assert out == ""
+        assert "'node'" in err
+
     @pytest.mark.parametrize("command", [["classify"], ["graph", "from-dot"]])
     def test_non_utf8_file(self, capsys, tmp_path, command):
         f = tmp_path / "bad.gpd"

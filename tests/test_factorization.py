@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -133,7 +132,7 @@ class TestFactorize:
                 assert pair.left.table == left(g.table), (method, g)
                 assert pair.right.table == right(g.table), (method, g)
                 assert (pair.left.zero, pair.right.zero) == (g.zero, g.zero)
-        names = [f.name for f in dataclasses.fields(ClassificationReport)]
+        names = list(ClassificationReport._fields)
         assert names[6:18] == (
             [f"{m}_holds" for m in pairs] + [f"{m}_composite" for m in pairs]
             + [f"{f}_composite" for f in families] + [f"{f}_normal" for f in families]

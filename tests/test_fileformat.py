@@ -115,6 +115,8 @@ class TestParseDot:
     def test_named_and_strict(self):
         graph, _ = parse_dot("strict graph stars { a -- b; }")
         assert graph.edges == frozenset({(0, 1)})
+        # a quoted keyword is a graph name, as in Graphviz
+        assert parse_dot('graph "node" { a; }') == (SimpleGraph(1, []), ("a",))
 
     def test_quoted_names(self):
         _, names = parse_dot('graph { "n 1" -- b; }')
@@ -202,6 +204,10 @@ class TestParseDot:
             '"graph" { a; }',               # a quoted keyword is a name
             "graph { node; }",              # a bare keyword is no vertex name
             "graph { Edge -- x }",          # in any letter case
+            "graph node { a; }",            # nor a graph name
+            "graph Edge { a; }",
+            "strict graph STRICT { a; }",
+            "graph ; { a; }",               # punctuation is no name
         ],
     )
     def test_rejects(self, text):

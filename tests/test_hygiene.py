@@ -6,7 +6,8 @@ once, in its one map compiler.  Every function and claim the traced
 benchmark run (``perfbench/layers.py``) wraps must still exist, and the
 calls the benchmark workloads make must still bind.
 The package exports the names it imports eagerly plus those of its lazy
-table, each the very object its module defines.
+table, each the very object its module defines, and importing it loads
+neither ``dataclasses`` nor ``inspect``.
 The README's Python API example runs as written.
 """
 
@@ -200,6 +201,19 @@ assert set(binsys.__all__) <= set(namespace)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_floor_leaves_dataclasses_unloaded():
+    # dataclasses loads inspect, and the two were about 40% of the time
+    # `import binsys.cli` takes; the record types are named tuples and
+    # plain classes instead
+    script = (
+        "import sys, binsys.cli; import binsys, binsys.axioms, binsys.enumeration; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_example_runs():

@@ -318,7 +318,7 @@ def census_formulas(t):
 def test_census_formulas_match_classify(rows):
     g = groupoid(rows)
     report = classify(g)
-    flags = {**report.predicates, **vars(report)}
+    flags = {**report.predicates, **report.to_dict()}
     assert census_formulas(g.table) == {key: int(flags[key]) for key in CENSUS_KEYS}
 
 
