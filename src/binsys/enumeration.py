@@ -25,10 +25,10 @@ conclusion take that pair and compare derived factors and composites as
 tuples from the raw-table kernels.  The claims about a zero (``_zeroed``)
 draw each table with a constant diagonal once, that value as its zero:
 each of their hypotheses implies x∘x = 0, so no other zero can meet it.
-The side domains of ``ClaimContext`` (random triples, locally-zero and
-operand-valued tables) and the uniqueness counts are raw as well.  A
-Groupoid is built only for a recorded counterexample, or where a claim
-calls ``classify``.
+The side domains of ``ClaimContext`` (locally-zero and operand-valued
+tables), the associativity triples and the uniqueness counts are raw as
+well.  A Groupoid is built only for a recorded counterexample, or where a
+claim calls ``classify``.
 
 When the job is large and the platform can fork, ``verify_claims`` runs
 its claims on W processes: itself and W - 1 forked children, each taking
@@ -51,7 +51,6 @@ import os
 import random
 import sys
 import time
-from array import array
 from collections import namedtuple
 
 from .core import (
@@ -83,7 +82,7 @@ from .semigroup import _compose, _is_central, _is_identity
 
 MAX_COUNTEREXAMPLES = 5
 
-# 32-bit words taken from the RNG per getrandbits call (see _randbelow_blocks)
+# 32-bit RNG words per block of _randbelow_blocks (for n >= 256, randrange values)
 _BLOCK_WORDS = 4096
 
 # how many instances a secondary (pair/graph) domain draws at most
@@ -127,30 +126,25 @@ def _randbelow_blocks(rng: random.Random, n: int):
 
     CPython's ``randrange(n)``, for n < 2**32, takes one 32-bit word per
     try, keeps its top ``n.bit_length()`` bits and tries again while that
-    is >= n.  Each block holds what one ``getrandbits`` call of
+    is >= n.  For n < 256 each block holds what one ``getrandbits`` call of
     _BLOCK_WORDS words gives; that call returns the words with the first
     one in the lowest bits, so in its little-endian bytes every fourth
-    byte, from the fourth on, is the top byte of a word.  For n < 256 the
-    kept bits lie in that byte: one ``bytes.translate`` shifts each top
-    byte and deletes the tries >= n, and the block is those bytes.  Larger
-    n take a list of the words' top bits; only tables of order >= 256 do,
-    which no claim sweep draws, and this path stays as their only sampler,
-    2-3x faster than ``randrange`` cell by cell.
+    byte, from the fourth on, is the top byte of a word.  The kept bits
+    lie in that byte: one ``bytes.translate`` shifts each top byte and
+    deletes the tries >= n, and the block is those bytes.  Larger n, which
+    only tables of order >= 256 take and no claim sweep draws, call
+    ``randrange`` itself, _BLOCK_WORDS times a block.
     """
-    size = 4 * _BLOCK_WORDS
-    if n < 256:
-        shift = 8 - n.bit_length()
-        values = bytes(b >> shift for b in range(256))
-        rejected = bytes(b for b in range(256) if b >> shift >= n)
+    if n >= 256:
         while True:
-            yield rng.getrandbits(8 * size).to_bytes(size, "little")[3::4].translate(
-                values, rejected)
-    shift = 32 - n.bit_length()
+            yield [rng.randrange(n) for _ in range(_BLOCK_WORDS)]
+    size = 4 * _BLOCK_WORDS
+    shift = 8 - n.bit_length()
+    values = bytes(b >> shift for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= n)
     while True:
-        words = array("I", rng.getrandbits(8 * size).to_bytes(size, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        yield [v for w in words if (v := w >> shift) < n]
+        yield rng.getrandbits(8 * size).to_bytes(size, "little")[3::4].translate(
+            values, rejected)
 
 
 def _random_tables(order: int, count: int, seed=None):
@@ -379,9 +373,6 @@ class ClaimContext:
 
     # The side domains below yield raw tables.
 
-    def random_tables(self, count, salt):
-        return _random_tables(self.order, count, f"{self.seed}:{salt}")
-
     def locally_zero_tables(self):
         """All of them when exhaustive (one per graph), else a seeded sample."""
         n = self.order
@@ -537,20 +528,19 @@ def _no_op_cells(t):
 # custom runners
 
 def _run_associative(ctx):
-    pool = ctx.samples
-    if ctx.mode == "sampled":
-        triples = zip(*(ctx.random_tables(ctx.side_count(), f"assoc{i}") for i in range(3)))
-        note = "random triples"
-    elif ctx.order <= 2:
-        triples = itertools.product(pool, repeat=3)
+    if ctx.mode == "exhaustive" and ctx.order <= 2:
+        triples = itertools.product(ctx.samples, repeat=3)
         note = None
     else:
         # a passing report records only the count and this note, so any
-        # seeded draw of the triples will do
-        trials = 100_000
-        picks = iter(ctx.rng("assoc").choices(pool, k=3 * trials))
+        # seeded draw of the triples from the main domain will do
+        if ctx.mode == "sampled":
+            trials, note = ctx.side_count(), "random triples"
+        else:
+            trials = 100_000
+            note = f"{trials} random triples (full triple space is too large)"
+        picks = iter(ctx.rng("assoc").choices(ctx.samples, k=3 * trials))
         triples = zip(picks, picks, picks)
-        note = f"{trials} random triples (full triple space is too large)"
     compose = _compose.at(ctx.order)
     checked, cexs = _tally(
         triples, lambda f, g, h: compose(compose(f, g), h) == compose(f, compose(g, h)),

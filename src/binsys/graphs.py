@@ -5,8 +5,8 @@ An edge {x, y} stands for a pair where each element wins its own row
 Tables built from graphs are always locally zero, and on that class the
 two translations are mutually inverse.
 
-``SimpleGraph`` and ``Digraph`` are named tuples whose constructors check
-and normalize the vertex pairs.
+``SimpleGraph`` and ``Digraph`` are named tuples whose constructors, and
+so ``_make`` and ``_replace``, check and normalize the vertex pairs.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class SimpleGraph(namedtuple("SimpleGraph", "order edges")):
         edges = _vertex_pairs(order, edges, "edge")
         return super().__new__(cls, order, frozenset((min(e), max(e)) for e in edges))
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
 
 class Digraph(namedtuple("Digraph", "order arcs")):
     """Directed loopless graph; arcs are ordered index pairs."""
@@ -55,6 +59,10 @@ class Digraph(namedtuple("Digraph", "order arcs")):
     def __new__(cls, order: int, arcs):
         order = _positive(order, error=BadShape)
         return super().__new__(cls, order, frozenset(_vertex_pairs(order, arcs, "arc")))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def to_graph(g: Groupoid) -> SimpleGraph:

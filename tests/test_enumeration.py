@@ -139,7 +139,7 @@ class TestRandomTablesMatchRandrange:
         assert list(enumeration._random_tables(256, 1, seed)) == expected
 
     # 128/129 and 255/256 sit on either side of a bit-length step and of
-    # the cut between the byte path and the word path
+    # the cut between the byte path and the randrange path
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 128, 129, 255, 256, 19683, 2**31, 2**32 - 1])
     def test_values_below_any_bound(self, n):
         rng = random.Random(n)
@@ -497,6 +497,19 @@ class TestVerifyClaims:
                                     if enumeration._fork_context() else [])
         assert forked == [r.to_dict() for r in verify_claims(4, sample=100, seed=4, workers=1)]
 
+    def test_workers_do_not_change_exhaustive_reports(self, caplog):
+        # all 19,683 order-3 tables x 3 claims fork too; center-agreement
+        # fails at order 3, so its counterexample Groupoids cross the pipe
+        ids = ["thm-2.4-identity", "prop-2.5-right-zero-strong", "center-agreement"]
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        forked = verify_claims(3, claims=ids, workers=2)
+        assert fan_outs(caplog) == (["3 claims on 2 processes"]
+                                    if enumeration._fork_context() else [])
+        assert [r.claim for r in forked] == ids
+        assert len(forked[2].counterexamples) == enumeration.MAX_COUNTEREXAMPLES
+        in_process = verify_claims(3, claims=ids, workers=1)
+        assert [r.to_dict() for r in forked] == [r.to_dict() for r in in_process]
+
     def test_no_claims(self, caplog):
         caplog.set_level(logging.DEBUG, logger="binsys")
         assert verify_claims(3, claims=[], workers=2) == []
@@ -623,8 +636,8 @@ def test_logging_left_unloaded():
 
 
 class TestAssociativeClaim:
-    @pytest.mark.parametrize("order, checked", [(2, 4096), (3, 100_000)])
-    def test_wrong_cell_fails(self, order, checked, monkeypatch):
+    @pytest.fixture
+    def wrong_compose(self, monkeypatch):
         # the claim checks whichever ⋄ the verifier binds, through the map
         # compiled for the order: one wrong cell, (0, 1) read as
         # h(g(0, 1), g(0, 1)), must fail it
@@ -633,9 +646,20 @@ class TestAssociativeClaim:
             return "u[t0_1][t0_1]" if (x, y) == (0, 1) else f"u[t{x}_{y}][t{y}_{x}]"
 
         monkeypatch.setattr(enumeration, "_compose", wrong)
+
+    @pytest.mark.parametrize("order, checked", [(2, 4096), (3, 100_000)])
+    def test_wrong_cell_fails(self, order, checked, wrong_compose):
         rep = verify_claims(order, claims=["thm-2.4-associative"], workers=1)[0]
         assert (rep.checked, rep.passed) == (checked, False)
         assert rep.counterexamples
+
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    def test_wrong_cell_fails_sampled(self, order, wrong_compose):
+        # a sampled run picks its triples from the sample it drew
+        rep = verify_claims(order, sample=50, seed=1, claims=["thm-2.4-associative"],
+                            workers=1)[0]
+        assert (rep.checked, rep.passed) == (50, False)
+        assert len(rep.counterexamples) == 3 * enumeration.MAX_COUNTEREXAMPLES
 
 
 class TestSideDomains:

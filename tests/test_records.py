@@ -7,6 +7,7 @@ recorded when the types were still dataclasses, so a test fails if one
 of them changes its printed form.
 """
 
+import copy
 import pickle
 
 import pytest
@@ -67,14 +68,25 @@ class TestGraphs:
 
     def test_pickle_round_trip(self):
         for graph in (SimpleGraph(3, [(2, 0)]), Digraph(3, [(2, 0)])):
-            again = pickle.loads(pickle.dumps(graph))
-            assert type(again) is type(graph) and again == graph
+            for again in (pickle.loads(pickle.dumps(graph)), copy.copy(graph)):
+                assert type(again) is type(graph) and again == graph
 
     def test_tuple_protocol(self):
         graph = SimpleGraph(2, [(1, 0)])
         assert graph == (2, frozenset({(0, 1)}))
         assert graph._fields == ("order", "edges")
         assert graph._asdict() == {"order": 2, "edges": frozenset({(0, 1)})}
+
+    def test_make_and_replace_check_and_normalize(self):
+        assert SimpleGraph(3, [])._replace(edges=[(2, 0)]).edges == frozenset({(0, 2)})
+        assert Digraph._make((3, [(2, 0)])) == Digraph(3, [(2, 0)])
+        assert type(Digraph._make((3, []))) is Digraph
+        with pytest.raises(BadShape):
+            SimpleGraph(2, [])._replace(edges=[(1, 1)])
+        with pytest.raises(BadShape):
+            Digraph._make((2, [(0, 5)]))
+        with pytest.raises(BadShape):
+            Digraph(2, [])._replace(order=0)
 
 
 def test_reports_are_immutable_tuples():
