@@ -9,14 +9,17 @@ labels or zero.
 ``Groupoid`` is a plain class with fixed fields, and every report record
 of the package is a named tuple: no module imports ``dataclasses``, which
 would load ``inspect`` at every command's start.
+
+The package's one compiler, ``_compiled``, lives here: it builds the maps
+of ``semigroup._cellwise`` and the structural flags of ``_flag``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import chain
-from operator import eq, index as as_index
+from itertools import chain, combinations
+from operator import index as as_index
 
 from .errors import BadLabels, BadShape, BadZero, ClosureViolation, MissingZero, PreconditionError
 
@@ -232,44 +235,69 @@ def diagonal_profile(g: Groupoid) -> DiagonalProfile:
     return DiagonalProfile(main=main, anti=anti, reverse=main[::-1], skew=anti[::-1])
 
 
-# --- predicates ---
-#
-# Each structural predicate is computed once, on the raw table; the public
-# functions, and so PREDICATES and predicate_vector, read g.table and call it.
+# --- the one compiler, and the predicates built with it ---
 
-def _idempotent(t: Table) -> bool:
-    return all(row[x] == x for x, row in enumerate(t))
-
-
-def _strong(t: Table) -> bool:
-    # only the n diagonal cells may equal their transposed cell
-    return sum(map(eq, chain.from_iterable(t), chain.from_iterable(zip(*t)))) == len(t)
+def _compiled(name: str, params: str, head: list, value: str):
+    """``def <name>(<params>)`` that runs the lines ``head`` and returns
+    ``value``, compiled from the file ``<<name>>`` into globals that name
+    this module, so that its ``__module__`` is ``binsys.core``."""
+    source = "\n    ".join([f"def {name}({params}):", *head, f"return {value}"])
+    eval(compile(source, f"<{name}>", "exec"), namespace := {"__name__": __name__})
+    return namespace[name]
 
 
-def _orientation(t: Table) -> bool:
-    return all(v == x or v == y for x, row in enumerate(t) for y, v in enumerate(row))
+def _flag(name: str, diagonal="", orbit="", anti=False):
+    """The raw-table predicate ``name``: ``diagonal`` holds at each element
+    x and ``orbit`` on each swap orbit x < y (with ``anti`` only where
+    x + y = n - 1), source templates over the rows ``r{x}``, ``r{y}`` and
+    the elements ``{x}``, ``{y}`` that parenthesize any ``or``.  The first
+    call at an order runs the loop form ``.loop()``; the second compiles
+    ``.at(n)``, named ``<name>_<n>``, which unpacks the rows once and
+    returns one short-circuit ``and`` chain of the templates."""
+
+    @cache
+    def loop():
+        each = "for x, rx in enumerate(t)"
+        pairs = f"{each} for y, ry in enumerate(t) if x < y" + " == len(t) - 1 - x" * anti
+        tests = [f"all({diagonal.format(x='x')} {each})"] if diagonal else []
+        tests += [f"all({orbit.format(x='x', y='y')} {pairs})"] if orbit else []
+        # a template may read row 0 by name
+        return _compiled(name, "t", ["r0 = t[0]"], " and ".join(tests) or "True")
+
+    @cache
+    def at(n):
+        pairs = ((x, n - 1 - x) for x in range(n // 2)) if anti else combinations(range(n), 2)
+        tests = [diagonal.format(x=x) for x in range(n) if diagonal]
+        tests += [orbit.format(x=x, y=y) for x, y in pairs if orbit]
+        rows = "".join(f"r{x}, " for x in range(n))
+        return _compiled(f"{name}_{n}", "t", [f"{rows}= t"], " and ".join(tests) or "True")
+
+    def first(t):
+        forms[len(t)] = second
+        return loop()(t)
+
+    def second(t):
+        forms[len(t)] = form = at(len(t))
+        return form(t)
+
+    forms = {}  # order -> what the next call at that order runs
+    flag = lambda t: forms.get(len(t), first)(t)
+    flag.__name__, flag.loop, flag.at = name, loop, at
+    return flag
 
 
-def _locally_zero(t: Table) -> bool:
-    # an idempotent diagonal, and each pair x < y is a projection table
-    n = len(t)
-    return _idempotent(t) and all(
-        (t[x][y], t[y][x]) in ((x, y), (y, x)) for x in range(n) for y in range(x + 1, n)
-    )
-
-
-def _twisted_orientation(t: Table) -> bool:
-    n = len(t)
-    return not any(t[x][y] == x and t[y][x] != x for x in range(n) for y in range(n))
-
-
-def _bi_diagonal(t: Table) -> bool:
-    n = len(t)
-    return all(t[i][n - 1 - i] == t[n - 1 - i][i] for i in range(n // 2))
-
-
-def _abelian(t: Table) -> bool:
-    return t == tuple(zip(*t))
+# the public predicates below, and so PREDICATES and predicate_vector, call these
+_idempotent = _flag("_idempotent", diagonal="r{x}[{x}] == {x}")
+_strong = _flag("_strong", orbit="r{x}[{y}] != r{y}[{x}]")
+_orientation = _flag("_orientation", diagonal="r{x}[{x}] == {x}",
+                     orbit="r{x}[{y}] in ({x}, {y}) and r{y}[{x}] in ({x}, {y})")
+# oriented, and strong: each pair x < y is one of the two projection tables
+_locally_zero = _flag("_locally_zero", diagonal="r{x}[{x}] == {x}", orbit=(
+    "r{x}[{y}] in ({x}, {y}) and r{y}[{x}] in ({x}, {y}) and r{x}[{y}] != r{y}[{x}]"))
+_twisted_orientation = _flag("_twisted_orientation", orbit=(
+    "(r{x}[{y}] != {x} or r{y}[{x}] == {x}) and (r{y}[{x}] != {y} or r{x}[{y}] == {y})"))
+_bi_diagonal = _flag("_bi_diagonal", orbit="r{x}[{y}] == r{y}[{x}]", anti=True)
+_abelian = _flag("_abelian", orbit="r{x}[{y}] == r{y}[{x}]")
 
 
 def is_idempotent(g: Groupoid) -> bool:

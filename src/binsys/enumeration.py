@@ -57,6 +57,7 @@ from .core import (
     Groupoid,
     _abelian,
     _bi_diagonal,
+    _flag,
     _left_zero_table,
     _locally_zero,
     _orientation,
@@ -374,16 +375,20 @@ class ClaimContext:
     # The side domains below yield raw tables.
 
     def locally_zero_tables(self):
-        """All of them when exhaustive (one per graph), else a seeded sample."""
-        n = self.order
-        if self.mode == "exhaustive":
-            edge_sets = (graph.edges for graph in all_graphs(n))
-        else:
-            rng = self.rng("graphs")
-            pairs = list(itertools.combinations(range(n), 2))
-            edge_sets = ([p for p in pairs if rng.random() < 0.5]
-                         for _ in range(self.side_count()))
-        return (_graph_table(n, edges) for edges in edge_sets)
+        """All of them when exhaustive (one per graph), else a seeded
+        sample; drawn once per context and kept in ``_pools``, as ``where``
+        keeps its filtered pools."""
+        if "graphs" not in self._pools:
+            n = self.order
+            if self.mode == "exhaustive":
+                edge_sets = (graph.edges for graph in all_graphs(n))
+            else:
+                rng = self.rng("graphs")
+                pairs = list(itertools.combinations(range(n), 2))
+                edge_sets = ([p for p in pairs if rng.random() < 0.5]
+                             for _ in range(self.side_count()))
+            self._pools["graphs"] = tuple(_graph_table(n, edges) for edges in edge_sets)
+        return self._pools["graphs"]
 
     def op_tables(self):
         """Tables where every product lands on an operand."""
@@ -429,8 +434,8 @@ def _where(test):
     return lambda ctx: ((t, None) for t in ctx.where(test))
 
 
-def _b1_diagonal(t):
-    return AXIOMS["B1"].check(t, len(t), t[0][0])
+# the diagonal is constant: x∘x = 0 with 0 = t[0][0]
+_b1_diagonal = _flag("_b1_diagonal", diagonal="r{x}[{x}] == r0[0]")
 
 
 def _zeroed(ctx):
@@ -514,15 +519,9 @@ def _is_abelian_group(t):
     return AXIOMS["CO"].check(t, n, None)
 
 
-def _no_op_cells(t):
-    # no idempotent element and no product equal to an operand
-    n = len(t)
-    if any(t[x][x] == x for x in range(n)):
-        return False
-    return all(
-        t[x][y] not in (x, y)
-        for x in range(n) for y in range(n) if x != y
-    )
+# no idempotent element and no product equal to an operand
+_no_op_cells = _flag("_no_op_cells", diagonal="r{x}[{x}] != {x}",
+                     orbit="r{x}[{y}] not in ({x}, {y}) and r{y}[{x}] not in ({x}, {y})")
 
 
 # custom runners
@@ -893,6 +892,8 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     order = _positive(order)
     if claims is None:
         selected = list(CLAIMS)
+    elif isinstance(claims, str):
+        raise ValueError(f"claims takes a sequence of claim ids, not the string {claims!r}")
     else:
         unknown = [c for c in claims if not isinstance(c, str) or c not in REGISTRY]
         if unknown:

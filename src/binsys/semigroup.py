@@ -16,11 +16,12 @@ n = 1 (``_is_central``).  The classical claim that the locally-zero tables
 are exactly the central ones does not hold from order 3 up (see
 ``in_center``).
 
-One compiler, ``_cellwise``, builds ⋄ (``_compose``) and the four derived
-factors of ``factorization`` on raw tables (tuples of tuple rows), each
-from its cell rule: the source of cell (x, y) at order n, an element or an
-expression over the operands that reads a cell of the first operand t as a
-local ``t{x}_{y}`` or by subscript, ``u[t{x}_{y}][t{y}_{x}]`` for ⋄.  At
+``_cellwise`` builds ⋄ (``_compose``) and the four derived factors of
+``factorization`` on raw tables (tuples of tuple rows) through
+``core._compiled``, the package's one compiler, each from its cell rule:
+the source of cell (x, y) at order n, an element or an expression over the
+operands that reads a cell of the first operand t as a local ``t{x}_{y}``
+or by subscript, ``u[t{x}_{y}][t{y}_{x}]`` for ⋄.  At
 each order a map is one function, ``<rule>_<n>``, compiled once per
 process at O(n²) cost (the first ``classify`` at an order compiles all
 five: about 1 ms at order 3, 3 ms at 8, 11 ms at 16, 0.17 s at 64).  If
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .core import Groupoid, Table, _left_zero_table, _right_zero_table
+from .core import Groupoid, Table, _compiled, _left_zero_table, _right_zero_table
 from .errors import OrderMismatch
 
 
@@ -60,10 +61,7 @@ def _cellwise(cell):
         )
         rows = range(n) if "_" in display else ()
         head = [", ".join(f"t{a}_{b}" for b in range(n)) + f", = t[{a}]" for a in rows]
-        name = f"{cell.__name__}_{n}"
-        source = "\n    ".join([f"def {name}(t, u):", *head, f"return ({display})"])
-        eval(compile(source, f"<{name}>", "exec"), namespace := {})
-        return namespace[name]
+        return _compiled(f"{cell.__name__}_{n}", "t, u", head, f"({display})")
 
     mapped = lambda t, u=None: compiled(len(t))(t, u)
     mapped.at = compiled  # the map compiled for an order, called without dispatch

@@ -3,13 +3,16 @@
 These are the implementations the library ran before every flag was
 computed on raw tables: a nested-generator product, factor derivations
 that build a Groupoid per factor, an identity test that walks every cell,
-the structural predicates as loops over a Groupoid's cells, and the
-cell-by-cell table validation.  The tests keep them as oracles for
-``semigroup._compose``, the raw predicates in ``core``,
-``predicate_vector``, ``classify`` and ``Groupoid.__post_init__``.
+the structural predicates as loops over a Groupoid's cells (with the
+constant-diagonal and no-operand-cell tests of the claim verifier), and
+the cell-by-cell table validation.  The tests keep them as oracles for
+``semigroup._compose``, both forms of every flag in ``core`` and
+``enumeration``, ``predicate_vector``, ``classify`` and
+``Groupoid.__post_init__``.
 """
 
 from binsys import (
+    AXIOMS,
     BadShape,
     ClosureViolation,
     Groupoid,
@@ -96,6 +99,25 @@ def ref_is_abelian(g):
     return all(
         g.table[x][y] == g.table[y][x]
         for x in range(g.order) for y in range(x + 1, g.order)
+    )
+
+
+def ref_b1_diagonal(g):
+    """The constant-diagonal test of the zero claims: axiom B1 with the
+    zero t[0][0]."""
+    t = g.table
+    return AXIOMS["B1"].check(t, len(t), t[0][0])
+
+
+def ref_no_op_cells(g):
+    # no idempotent element and no product equal to an operand
+    t = g.table
+    n = len(t)
+    if any(t[x][x] == x for x in range(n)):
+        return False
+    return all(
+        t[x][y] not in (x, y)
+        for x in range(n) for y in range(n) if x != y
     )
 
 

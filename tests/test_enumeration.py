@@ -413,6 +413,16 @@ class TestVerifyClaims:
         with pytest.raises(ValueError, match="unknown claim ids"):
             verify_claims(1, claims=[claim])
 
+    @pytest.mark.parametrize("claims", ["center-agreement", "x", ""])
+    def test_bare_string_is_not_a_claim_list(self, claims):
+        # a string is a sequence of one-character ids; name it whole instead
+        with pytest.raises(ValueError) as info:
+            verify_claims(2, claims=claims)
+        message = str(info.value)
+        assert repr(claims) in message
+        assert "sequence of claim ids" in message
+        assert "unknown claim ids" not in message
+
     def test_exhaustive_order_cap(self):
         with pytest.raises(OrderTooLarge):
             verify_claims(4)
@@ -683,6 +693,20 @@ class TestSideDomains:
         assert other_op != op and other_lz != lz
         digests = tuple(hashlib.sha256(repr(d).encode()).hexdigest() for d in (op, lz))
         assert digests == tables.SIDE_DIGESTS[order]
+
+    @pytest.mark.parametrize("mode, order", [("exhaustive", 3), ("sampled", 5)])
+    def test_locally_zero_tables_drawn_once(self, mode, order, monkeypatch):
+        # cor-2.7 and prop-2.8 both read the locally-zero tables: the
+        # context draws them on the first read and keeps them
+        samples = tuple(enumeration._random_tables(order, 50, 1))
+        ctx = enumeration.ClaimContext(order, mode, seed=1, samples=samples)
+        salts = []
+        rng = ctx.rng
+        monkeypatch.setattr(ctx, "rng", lambda salt: salts.append(salt) or rng(salt))
+        first = ctx.locally_zero_tables()
+        assert ctx.locally_zero_tables() is first
+        assert salts == ([] if mode == "exhaustive" else ["graphs"])
+        assert len(first) == (2 ** 3 if mode == "exhaustive" else 50)
 
 
 class TestCenterAgreementClaim:

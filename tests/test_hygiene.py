@@ -2,9 +2,10 @@
 
 Every module under ``src/binsys`` (bar ``__init__.py``, which only
 re-exports) must use each name it imports, and the package calls ``eval``
-once, in its one map compiler.  Every function and claim the traced
-benchmark run (``perfbench/layers.py``) wraps must still exist, and the
-calls the benchmark workloads make must still bind.
+once, in its one compiler.  Every function and claim the traced
+benchmark run (``perfbench/layers.py``) wraps must still exist, every
+function its walk reaches must name its module, and the calls the
+benchmark workloads make must still bind.
 The package exports the names it imports eagerly plus those of its lazy
 table, each the very object its module defines, and importing it loads
 neither ``dataclasses`` nor ``inspect``.
@@ -18,6 +19,7 @@ import inspect
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -67,10 +69,11 @@ def eval_calls() -> list[str]:
 
 
 def test_one_compiler():
-    # semigroup._cellwise compiles ⋄ and every derived factor; a second
-    # source generator would be a second kernel to keep in step
+    # core._compiled builds ⋄, every derived factor and every structural
+    # flag; a second source-to-function step would be a second kernel to
+    # keep in step
     calls = eval_calls()
-    assert len(calls) == 1 and calls[0].startswith("semigroup.py:"), calls
+    assert len(calls) == 1 and calls[0].startswith("core.py:"), calls
 
 
 def _perfbench_module(name):
@@ -140,6 +143,28 @@ def test_traced_sampled_run_records_calls():
         restore()
     assert gate.failed == 0
     assert any(tracer.calls[name] for name in layers.span_names())
+
+
+def test_traced_walk_meets_named_functions():
+    # layers._slots reads __module__ of every binsys function it reaches,
+    # the compiled forms of the flags among them; a function compiled
+    # into globals without __name__ has __module__ None and crashes the
+    # walk.  Each flag is called twice at two orders first, so that the
+    # walk meets its straight-line forms whatever ran before.
+    from binsys import core, enumeration
+
+    layers = _perfbench_module("layers")
+    flags = [core._idempotent, core._strong, core._orientation, core._locally_zero,
+             core._twisted_orientation, core._bi_diagonal, core._abelian,
+             enumeration._b1_diagonal, enumeration._no_op_cells]
+    for n in (3, 5):
+        t = core._left_zero_table(n)
+        for flag in flags:
+            flag(t), flag(t)
+    reached = [value for _, _, value in layers._slots(layers._binsys_modules(), core.Groupoid)
+               if isinstance(value, types.FunctionType)]
+    assert [f for f in reached if not isinstance(f.__module__, str)] == []
+    assert all(flag.at(n) in reached for flag in flags for n in (3, 5))
 
 
 def eager_exports() -> dict[str, str]:

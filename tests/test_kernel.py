@@ -1,9 +1,12 @@
-"""The compiled raw-table maps (⋄ and the four derived factors) and the
-flags and predicates computed on them, against the slow Groupoid paths
-kept in ``reference_kernel``; and Groupoid validation against the
-cell-by-cell checks it replaced."""
+"""The compiled raw-table maps (⋄ and the four derived factors), the
+compiled structural flags in both their forms, and the flags and
+predicates computed on them, against the slow Groupoid paths kept in
+``reference_kernel``; and Groupoid validation against the cell-by-cell
+checks it replaced."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,16 +26,18 @@ from binsys import (
     right_zero,
     ua_holds,
 )
-from binsys import core, semigroup
+from binsys import core, enumeration
 from binsys.factorization import _orient, _signature, _similar, _skew
 from binsys.semigroup import _compose
 from reference_kernel import (
     REF_PREDICATES,
+    ref_b1_diagonal,
     ref_classify_by_zero,
     ref_commutes,
     ref_compose,
     ref_is_identity,
     ref_is_strong,
+    ref_no_op_cells,
     ref_orient,
     ref_predicate_vector,
     ref_signature,
@@ -71,9 +76,48 @@ def assert_maps_match(gt, ht):
         assert derived == ref(g).table, ref.__name__
 
 
+# every flag the one compiler builds -> its loop oracle on Groupoids: the
+# seven structural predicates of core and the two hypotheses of the zero
+# and proof claims in enumeration
+FLAGS = {
+    **{RAW_PREDICATES[name]: ref for name, ref in REF_PREDICATES.items()},
+    enumeration._b1_diagonal: ref_b1_diagonal,
+    enumeration._no_op_cells: ref_no_op_cells,
+}
+
+
+@st.composite
+def structured_tables(draw, orders):
+    """Each cell is its row operand, its column operand or any element, so
+    oriented, strong and locally-zero tables are drawn often; a constant
+    diagonal, a mirrored upper triangle and cells moved off their operands
+    reach the constant-diagonal, abelian, bi-diagonal and no-operand-cell
+    tables."""
+    n = draw(orders)
+    rows = [[draw(st.sampled_from((x, y)) | st.integers(0, n - 1)) for y in range(n)]
+            for x in range(n)]
+    diagonal = draw(st.none() | st.integers(0, n - 1))
+    if diagonal is not None:
+        for x in range(n):
+            rows[x][x] = diagonal
+    if draw(st.booleans()):
+        rows = [[rows[min(x, y)][max(x, y)] for y in range(n)] for x in range(n)]
+    if draw(st.booleans()):
+        rows = [[min({0, 1, 2} - {x, y}) if v in (x, y) else v for y, v in enumerate(row)]
+                for x, row in enumerate(rows)]
+    return Groupoid(rows)
+
+
 def assert_predicates_match(g):
     """Raw, public and vector predicates of g (and of g with each zero)
-    against the loop oracles; the vector's key order included."""
+    against the loop oracles; the vector's key order included.  Each flag
+    gives the oracle's bool through its loop form, its straight-line form
+    and its dispatch."""
+    t, n = g.table, g.order
+    for flag, ref in FLAGS.items():
+        expected = ref(g)
+        assert (flag.loop()(t), flag.at(n)(t), flag(t)) == (expected,) * 3, flag.__name__
+        assert type(flag.loop()(t)) is type(flag.at(n)(t)) is bool, flag.__name__
     expected = {name: ref(g) for name, ref in REF_PREDICATES.items()}
     assert {name: raw(g.table) for name, raw in RAW_PREDICATES.items()} == expected
     assert axiom_holds(g, "STRONG") == ref_is_strong(g)
@@ -118,7 +162,7 @@ class TestGeneratedKernel:
             compiles.append(source)
             return eval(source, *namespace)
 
-        monkeypatch.setattr(semigroup, "eval", counting_eval, raising=False)
+        monkeypatch.setattr(core, "eval", counting_eval, raising=False)
         t = core._left_zero_table(order)
         maps = [_compose] + [derive for derive, _ in DERIVATIONS]
         first = [derive(t, t) for derive in maps]
@@ -212,29 +256,72 @@ class TestPredicatesMatchReference:
         for g in all_groupoids(order):
             assert_predicates_match(g)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_larger_orders(self, data):
-        # each cell is its row operand, its column operand or any element,
-        # so oriented, strong and locally-zero tables are drawn often; a
-        # constant diagonal and a mirrored upper triangle reach the
-        # semi-neutral and abelian tables
-        n = data.draw(st.integers(4, 6))
-        diagonal = data.draw(st.none() | st.integers(0, n - 1))
-        rows = [
-            [data.draw(st.sampled_from((x, y)) | st.integers(0, n - 1)) for y in range(n)]
-            for x in range(n)
-        ]
-        if diagonal is not None:
-            for x in range(n):
-                rows[x][x] = diagonal
-        if data.draw(st.booleans()):
-            rows = [[rows[min(x, y)][max(x, y)] for y in range(n)] for x in range(n)]
-        assert_predicates_match(Groupoid(rows))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(structured_tables(st.integers(4, 8)))
+    def test_larger_orders(self, g):
+        assert_predicates_match(g)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(structured_tables(st.just(17)))
+    def test_order_seventeen(self, g):
+        assert_predicates_match(g)
 
     def test_every_predicate_is_covered(self):
         assert [*RAW_PREDICATES, "semi_neutral"] == list(PREDICATES)
         assert list(REF_PREDICATES) == list(RAW_PREDICATES)
+        assert len({flag.__name__ for flag in FLAGS}) == 9
+
+
+class TestFlagForms:
+    """Every flag runs its loop form on the first call at an order and its
+    straight-line form, compiled by the second, from then on."""
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_each_form_has_its_own_name(self, order):
+        for flag in FLAGS:
+            loop, straight = flag.loop(), flag.at(order)
+            assert loop.__code__.co_name == flag.__name__
+            assert straight.__code__.co_name == f"{flag.__name__}_{order}"
+            assert loop.__module__ == straight.__module__ == "binsys.core"
+
+    def test_straight_line_form_compiles_on_reuse(self, monkeypatch):
+        compiled = []
+
+        def counting_eval(code, namespace):
+            compiled.append(code.co_filename)
+            return eval(code, namespace)
+
+        monkeypatch.setattr(core, "eval", counting_eval, raising=False)
+        flag = core._flag("_probe", diagonal="r{x}[{x}] == {x}")
+        t = core._left_zero_table(4)
+        assert flag(t) and compiled == ["<_probe>"]
+        assert flag(t) and compiled == ["<_probe>", "<_probe_4>"]
+        assert flag(t) and flag(core._left_zero_table(5))
+        assert compiled == ["<_probe>", "<_probe_4>"]
+        assert not flag(core._semi_neutral_table(4, 0))
+
+    def test_one_classify_compiles_no_straight_line_flag(self):
+        # a one-shot caller reads each flag once at its order: it runs the
+        # loop forms and compiles no O(n²) chain (the maps still compile)
+        script = """
+import binsys.core as core
+compiled = []
+def counting(code, namespace):
+    compiled.append(code.co_filename)
+    return eval(code, namespace)
+core.eval = counting
+from binsys import classify, groupoid
+classify(groupoid([[(3 * x + y) % 8 for y in range(8)] for x in range(8)], zero=0))
+print(" ".join(compiled))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        compiled = proc.stdout.split()
+        loops = {f"<{raw.__name__}>" for raw in RAW_PREDICATES.values()}
+        straight = {f"<{raw.__name__}_8>" for raw in RAW_PREDICATES.values()}
+        assert loops <= set(compiled)
+        assert not straight & set(compiled)
+        assert "<_compose_8>" in compiled
 
 
 class IntLike(int):
