@@ -249,26 +249,30 @@ def _compiled(name: str, params: str, head: list, value: str):
 def _flag(name: str, diagonal="", orbit="", anti=False):
     """The raw-table predicate ``name``: ``diagonal`` holds at each element
     x and ``orbit`` on each swap orbit x < y (with ``anti`` only where
-    x + y = n - 1), source templates over the rows ``r{x}``, ``r{y}`` and
-    the elements ``{x}``, ``{y}`` that parenthesize any ``or``.  The first
+    x + y = n - 1), source templates over the orbit's cells ``{d}`` = x∘x,
+    ``{a}`` = x∘y, ``{b}`` = y∘x and the elements ``{x}``, ``{y}`` that
+    parenthesize any ``or``; the census reads them off the flag.  The first
     call at an order runs the loop form ``.loop()``; the second compiles
     ``.at(n)``, named ``<name>_<n>``, which unpacks the rows once and
     returns one short-circuit ``and`` chain of the templates."""
+
+    def fill(template, x, y=None):
+        return template.format(x=x, y=y, d=f"r{x}[{x}]", a=f"r{x}[{y}]", b=f"r{y}[{x}]")
 
     @cache
     def loop():
         each = "for x, rx in enumerate(t)"
         pairs = f"{each} for y, ry in enumerate(t) if x < y" + " == len(t) - 1 - x" * anti
-        tests = [f"all({diagonal.format(x='x')} {each})"] if diagonal else []
-        tests += [f"all({orbit.format(x='x', y='y')} {pairs})"] if orbit else []
+        tests = [f"all({fill(diagonal, 'x')} {each})"] if diagonal else []
+        tests += [f"all({fill(orbit, 'x', 'y')} {pairs})"] if orbit else []
         # a template may read row 0 by name
         return _compiled(name, "t", ["r0 = t[0]"], " and ".join(tests) or "True")
 
     @cache
     def at(n):
         pairs = ((x, n - 1 - x) for x in range(n // 2)) if anti else combinations(range(n), 2)
-        tests = [diagonal.format(x=x) for x in range(n) if diagonal]
-        tests += [orbit.format(x=x, y=y) for x, y in pairs if orbit]
+        tests = [fill(diagonal, x) for x in range(n) if diagonal]
+        tests += [fill(orbit, x, y) for x, y in pairs if orbit]
         rows = "".join(f"r{x}, " for x in range(n))
         return _compiled(f"{name}_{n}", "t", [f"{rows}= t"], " and ".join(tests) or "True")
 
@@ -283,21 +287,22 @@ def _flag(name: str, diagonal="", orbit="", anti=False):
     forms = {}  # order -> what the next call at that order runs
     flag = lambda t: forms.get(len(t), first)(t)
     flag.__name__, flag.loop, flag.at = name, loop, at
+    flag.diagonal, flag.orbit, flag.anti = diagonal, orbit, anti
     return flag
 
 
 # the public predicates below, and so PREDICATES and predicate_vector, call these
-_idempotent = _flag("_idempotent", diagonal="r{x}[{x}] == {x}")
-_strong = _flag("_strong", orbit="r{x}[{y}] != r{y}[{x}]")
-_orientation = _flag("_orientation", diagonal="r{x}[{x}] == {x}",
-                     orbit="r{x}[{y}] in ({x}, {y}) and r{y}[{x}] in ({x}, {y})")
+_idempotent = _flag("_idempotent", diagonal="{d} == {x}")
+_strong = _flag("_strong", orbit="{a} != {b}")
+_orientation = _flag("_orientation", diagonal="{d} == {x}",
+                     orbit="{a} in ({x}, {y}) and {b} in ({x}, {y})")
 # oriented, and strong: each pair x < y is one of the two projection tables
-_locally_zero = _flag("_locally_zero", diagonal="r{x}[{x}] == {x}", orbit=(
-    "r{x}[{y}] in ({x}, {y}) and r{y}[{x}] in ({x}, {y}) and r{x}[{y}] != r{y}[{x}]"))
-_twisted_orientation = _flag("_twisted_orientation", orbit=(
-    "(r{x}[{y}] != {x} or r{y}[{x}] == {x}) and (r{y}[{x}] != {y} or r{x}[{y}] == {y})"))
-_bi_diagonal = _flag("_bi_diagonal", orbit="r{x}[{y}] == r{y}[{x}]", anti=True)
-_abelian = _flag("_abelian", orbit="r{x}[{y}] == r{y}[{x}]")
+_locally_zero = _flag("_locally_zero", diagonal="{d} == {x}",
+                      orbit="{a} in ({x}, {y}) and {b} in ({x}, {y}) and {a} != {b}")
+_twisted_orientation = _flag("_twisted_orientation",
+                             orbit="({a} != {x} or {b} == {x}) and ({b} != {y} or {a} == {y})")
+_bi_diagonal = _flag("_bi_diagonal", orbit="{a} == {b}", anti=True)
+_abelian = _flag("_abelian", orbit="{a} == {b}")
 
 
 def is_idempotent(g: Groupoid) -> bool:

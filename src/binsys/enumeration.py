@@ -6,10 +6,10 @@ Three entry points:
   lexicographic order (respectively i.i.d. uniform cells from a seed,
   exactly those of ``randrange`` cell by cell, drawn in blocks).
 * ``census`` — exact predicate and classification counts over all tables
-  of an order, at any order.  No table is enumerated: every counted flag
+  of an order, at any order.  It counts the flags' own declarations: each
   is a condition on the diagonal and on each swap orbit {(x, y), (y, x)},
   so a count is a sum over the diagonals' fixed-point counts of products
-  over the pairs, which are two powers (anti-diagonal pairs and the rest).
+  over the pairs, two powers (anti-diagonal pairs and the rest).
 * ``verify_claims`` — run a registry of general statements about tables
   against every table of an order (or a seeded sample at larger orders)
   and report counterexamples.  Claims that are expected to fail stay in
@@ -51,13 +51,15 @@ import os
 import random
 import sys
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .core import (
     Groupoid,
     _abelian,
     _bi_diagonal,
+    _compiled,
     _flag,
+    _idempotent,
     _left_zero_table,
     _locally_zero,
     _orientation,
@@ -65,6 +67,7 @@ from .core import (
     _right_zero_table,
     _semi_neutral_table,
     _strong,
+    _twisted_orientation,
 )
 from .axioms import AXIOMS
 from .errors import EXHAUSTIVE_ORDER_LIMIT, InternalError, OrderTooLarge, PreconditionError
@@ -206,35 +209,28 @@ class CensusReport(namedtuple("CensusReport", "order total counts")):
     __slots__ = ()
 
 
-# Every census flag is a condition on the diagonal together with conditions
-# on each swap orbit {(x, y), (y, x)}, x < y, read through the values
-# (a, b) = (t[x][y], t[y][x]).  These per-pair conditions are the atoms.
-_STR, _ORI, _TW, _BI, _AB, _SIGP, _SKWP, _UA, _JO = (1 << i for i in range(9))
-
-
-def _pair_atoms(n, x, y, a, b, fixed) -> int:
-    """The atoms that hold on the pair x < y, as a bit mask; ``fixed``
-    holds the elements v with t[v][v] = v."""
-    anti = x + y == n - 1
-    return (
-        _STR * (a != b)
-        # every product lands on an operand (orientation)
-        | _ORI * (a in (x, y) and b in (x, y))
-        # x∘y = x implies y∘x = x, and y∘x = y implies x∘y = y
-        | _TW * ((a != x or b == x) and (b != y or a == y))
-        # symmetric on the anti-diagonal (bi_diagonal)
-        | _BI * (a == b or not anti)
-        | _AB * (a == b)
-        # the pair as in the left projection: the signature factor's cells
-        | _SIGP * (a == x and b == y)
-        # the skew factor's cells as in the left projection
-        | _SKWP * ((b == x and a == y) if anti else (a == x and b == y))
-        # signature ⋄ similar reproduces the pair
-        | _UA * (a != b or a in fixed)
-        # skew ⋄ orient reproduces the pair: a = b, or a + b = n - 1
-        # exactly when the pair is on the anti-diagonal
-        | _JO * (a == b or (a + b == n - 1) == anti)
-    )
+# Every census flag is a condition on the diagonal and one on each swap orbit
+# {(x, y), (y, x)}, x < y, over its values (a, b) = (t[x][y], t[y][x]).  The
+# atoms are those orbit templates of _CENSUS_FLAGS, then four factor atoms in
+# the same language; _pair_atoms(n, x, y, a, b, fixed) sets bit i where atom i holds.
+_CENSUS_FLAGS = (_idempotent, _strong, _locally_zero, _orientation,
+                 _twisted_orientation, _bi_diagonal, _abelian)
+_ATOMS = (
+    *(f"not anti or ({flag.orbit})" if flag.anti else flag.orbit or "True"
+      for flag in _CENSUS_FLAGS),
+    # SIGP, the pair as in the left projection: the signature factor's cells
+    "{a} == {x} and {b} == {y}",
+    # SKWP, the skew factor's cells as in the left projection
+    "({b} == {x} and {a} == {y}) if anti else ({a} == {x} and {b} == {y})",
+    # UA, signature ⋄ similar reproduces the pair; fixed holds the v with t[v][v] = v
+    "{a} != {b} or {a} in fixed",
+    # JO, skew ⋄ orient reproduces the pair: a = b, or a + b = n - 1 exactly on the anti-diagonal
+    "{a} == {b} or ({a} + {b} == n - 1) == anti",
+)
+_SIGP, _SKWP, _UA, _JO = (1 << i for i in range(len(_CENSUS_FLAGS), len(_ATOMS)))
+_pair_atoms = _compiled("_pair_atoms", "n, x, y, a, b, fixed", ["anti = x + y == n - 1"],
+                        " | ".join(f"{1 << i} * ({atom.format(x='x', y='y', a='a', b='b')})"
+                                   for i, atom in enumerate(_ATOMS)))
 
 
 def _census_terms(n) -> dict:
@@ -242,19 +238,16 @@ def _census_terms(n) -> dict:
     number of tables whose diagonal fixes exactly k elements for some k in
     ks, and on each of whose pairs every atom in the mask holds.
 
-    A table is idempotent (and similar-prime) when its diagonal fixes all n
-    elements.  au and oj reproduce every table; the orient table is the
-    identity only at order 1.  A negated prime takes one subtracted term.
+    A counted flag is its own atom, at every k with no diagonal condition
+    and at k = n with idempotence, as similar-prime is.  au and oj reproduce
+    every table; the orient table is the identity only at order 1.  A
+    negated prime takes one subtracted term.
     """
     every, idem, other = range(n + 1), (n,), range(n)
-    terms = {
-        "idempotent": [(1, idem, 0)],
-        "strong": [(1, every, _STR)],
-        "locally_zero": [(1, idem, _ORI | _STR)],
-        "orientation": [(1, idem, _ORI)],
-        "twisted_orientation": [(1, every, _TW)],
-        "bi_diagonal": [(1, every, _BI)],
-        "abelian": [(1, every, _AB)],
+    ks = {"": every, _idempotent.diagonal: idem}
+    terms = {flag.__name__[1:]: [(1, ks[flag.diagonal], 1 << i)]
+             for i, flag in enumerate(_CENSUS_FLAGS)}
+    terms.update({
         "signature_prime": [(1, every, _SIGP)],
         "similar_prime": [(1, idem, 0)],
         "orient_prime": [(1, every, 0)] if n == 1 else [],
@@ -267,7 +260,7 @@ def _census_terms(n) -> dict:
         "au_composite": [(1, other, 0), (-1, other, _SIGP)],
         "oj_composite": [(1, every, 0), (-1, idem, _SKWP)] if n > 1 else [],
         "jo_composite": [(1, every, _JO), (-1, idem, _JO | _SKWP)] if n > 1 else [],
-    }
+    })
     # au and oj always hold
     terms["u_composite"] = terms["ua_composite"]
     terms["j_composite"] = terms["jo_composite"]
@@ -293,25 +286,27 @@ def census(order: int, workers=None) -> CensusReport:
     """
     n = order = _positive(order)
     start = time.perf_counter()
-    anti = n // 2
-    classes = ((0, n - 1, anti), (0, 1, math.comb(n, 2) - anti))
     terms = _census_terms(n)
-    masks = {mask for key_terms in terms.values() for _, _, mask in key_terms}
     counts = dict.fromkeys(CENSUS_KEYS, 0)
+    # each class's atoms on its n² value pairs, none fixed yet, and their count by value
+    classes = []
+    for x, y, size in ((0, n - 1, n // 2), (0, 1, math.comb(n, 2) - n // 2)):
+        atoms = [_pair_atoms(n, x, y, a, b, ()) for a in range(n) for b in range(n)]
+        classes.append((atoms, Counter(atoms), size))
     for k in range(n + 1):
+        # UA, the only atom that reads the fixed points, holds on (v, v) when v
+        # is fixed; the counts do not depend on which k are, so fix 0..k-1
+        if k:
+            for atoms, held, _ in classes:
+                v = atoms[(k - 1) * (n + 1)]
+                held[v] -= 1
+                held[v | _UA] += 1
         diagonals = math.comb(n, k) * (n - 1) ** (n - k)
-        # UA, the only atom that reads the diagonal, holds on n(n-1) + k
-        # value pairs whichever k elements are fixed, and UA ∧ SIGP on one
-        fixed = range(k)
-        atoms = [([_pair_atoms(n, x, y, a, b, fixed) for a in range(n) for b in range(n)], size)
-                 for x, y, size in classes]
-        tables = {
-            mask: diagonals * math.prod(sum(v & mask == mask for v in pair) ** size
-                                        for pair, size in atoms)
-            for mask in masks
-        }
         for key in CENSUS_KEYS:
-            counts[key] += sum(sign * tables[mask] for sign, ks, mask in terms[key] if k in ks)
+            counts[key] += diagonals * sum(
+                sign * math.prod(sum(c for v, c in held.items() if v & mask == mask) ** size
+                                 for _, held, size in classes)
+                for sign, ks, mask in terms[key] if k in ks)
     _debug("order-%d census in %.3f s", order, time.perf_counter() - start)
     return CensusReport(order, table_count(order), counts)
 
@@ -435,7 +430,7 @@ def _where(test):
 
 
 # the diagonal is constant: x∘x = 0 with 0 = t[0][0]
-_b1_diagonal = _flag("_b1_diagonal", diagonal="r{x}[{x}] == r0[0]")
+_b1_diagonal = _flag("_b1_diagonal", diagonal="{d} == r0[0]")
 
 
 def _zeroed(ctx):
@@ -520,8 +515,8 @@ def _is_abelian_group(t):
 
 
 # no idempotent element and no product equal to an operand
-_no_op_cells = _flag("_no_op_cells", diagonal="r{x}[{x}] != {x}",
-                     orbit="r{x}[{y}] not in ({x}, {y}) and r{y}[{x}] not in ({x}, {y})")
+_no_op_cells = _flag("_no_op_cells", diagonal="{d} != {x}",
+                     orbit="{a} not in ({x}, {y}) and {b} not in ({x}, {y})")
 
 
 # custom runners

@@ -20,6 +20,7 @@ from binsys import core, enumeration, semigroup
 from binsys import (
     CLAIMS,
     Claim,
+    ClassificationReport,
     Groupoid,
     InternalError,
     OrderTooLarge,
@@ -159,6 +160,73 @@ class TestRandomTablesMatchRandrange:
     def test_lazy(self):
         first = next(enumeration._random_tables(3, 10**12, seed=0))
         assert first == next(randrange_tables(3, 1, seed=0))
+
+
+def orbit_shaped_tables(order, count, seed):
+    """``count`` seeded tables built orbit by orbit over an idempotent or a
+    uniform diagonal.  Each table draws one or two kinds of value pair for
+    its orbits: operand-valued, a projection, symmetric or uniform; so each
+    census-counted flag holds on some tables and fails on others."""
+    rng = random.Random(seed)
+    kinds = {
+        "operand": lambda x, y, a, b: (rng.choice((x, y)), rng.choice((x, y))),
+        "projection": lambda x, y, a, b: rng.choice(((x, y), (y, x))),
+        "symmetric": lambda x, y, a, b: (a, a),
+        "uniform": lambda x, y, a, b: (a, b),
+    }
+    for _ in range(count):
+        rows = [[rng.randrange(order) for _ in range(order)] for _ in range(order)]
+        if rng.random() < 0.5:
+            for x in range(order):
+                rows[x][x] = x
+        chosen = rng.sample(sorted(kinds), rng.randint(1, 2))
+        for x, y in itertools.combinations(range(order), 2):
+            pair = kinds[rng.choice(chosen)]
+            rows[x][y], rows[y][x] = pair(x, y, rows[x][y], rows[y][x])
+        yield tuple(map(tuple, rows))
+
+
+def decomposed(t):
+    """What the census counts for each flag of ``_CENSUS_FLAGS`` on the
+    table t: that its diagonal condition (none, or idempotence) holds, and
+    its atom, bit i of ``_pair_atoms``, holds on every pair x < y."""
+    n = len(t)
+    fixed = {v for v in range(n) if t[v][v] == v}
+    atoms = [enumeration._pair_atoms(n, x, y, t[x][y], t[y][x], fixed)
+             for x, y in itertools.combinations(range(n), 2)]
+    return [(not flag.diagonal or len(fixed) == n) and all(a >> i & 1 for a in atoms)
+            for i, flag in enumerate(enumeration._CENSUS_FLAGS)]
+
+
+class TestCensusCountsTheFlags:
+    """Each census-counted flag is, table by table, what the census counts
+    for it: a template that read a cell outside its orbit, or an atom that
+    drifted from its flag, fails here at any order, not only in totals."""
+
+    def test_diagonals_the_census_can_count(self):
+        # ks in _census_terms is every k (no diagonal condition) or k = n
+        idempotence = core._idempotent.diagonal
+        assert {flag.diagonal for flag in enumeration._CENSUS_FLAGS} <= {"", idempotence}
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_every_table(self, order):
+        for t in enumeration._all_tables(order):
+            assert [flag(t) for flag in enumeration._CENSUS_FLAGS] == decomposed(t), t
+
+    def test_seeded_order_five(self):
+        seen = set()
+        for t in orbit_shaped_tables(5, 500, seed=25):
+            flags = [flag(t) for flag in enumeration._CENSUS_FLAGS]
+            assert flags == decomposed(t), t
+            seen.update(enumerate(flags))
+        # every flag both holds and fails on the sample
+        assert len(seen) == 2 * len(enumeration._CENSUS_FLAGS)
+
+    def test_keys_are_the_public_names(self):
+        # the predicate keys come from the flags' names: renaming a private
+        # flag must not rename a key of the enumerate --census JSON
+        predicates = tuple(name for name in core.PREDICATES if name != "semi_neutral")
+        assert enumeration.CENSUS_KEYS == predicates + ClassificationReport._fields[2:-2]
 
 
 class TestCensus:

@@ -292,7 +292,7 @@ class TestFlagForms:
             return eval(code, namespace)
 
         monkeypatch.setattr(core, "eval", counting_eval, raising=False)
-        flag = core._flag("_probe", diagonal="r{x}[{x}] == {x}")
+        flag = core._flag("_probe", diagonal="{d} == {x}")
         t = core._left_zero_table(4)
         assert flag(t) and compiled == ["<_probe>"]
         assert flag(t) and compiled == ["<_probe>", "<_probe_4>"]
