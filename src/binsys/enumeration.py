@@ -16,19 +16,20 @@ Three entry points:
   the registry on purpose: their reports document *where* the general
   statement breaks.
 
-Claims read raw tables, and one loop (``_tally``) runs them all: it counts
-the cases a claim draws and records the first few that fail.  The main
-domain, ``ClaimContext.samples``, is every table of the order or a seeded
-sample.  A per-table claim (``_universal``) draws ``(t, z)`` cases, a raw
-table and the zero under test, from ``cases(ctx)``; its hypothesis and
-conclusion take that pair and compare derived factors and composites as
-tuples from the raw-table kernels.  The claims about a zero (``_zeroed``)
-draw each table with a constant diagonal once, that value as its zero:
-each of their hypotheses implies x∘x = 0, so no other zero can meet it.
-The side domains of ``ClaimContext`` (locally-zero and operand-valued
-tables), the associativity triples and the uniqueness counts are raw as
-well.  A Groupoid is built only for a recorded counterexample, or where a
-claim calls ``classify``.
+Claims read raw tables, and one loop (``_tally``) runs them all: it
+counts the cases a claim draws and records the first few that fail.  The
+main domain, ``ClaimContext.samples``, is every table of the order or a
+seeded sample.  Exhaustive runs check a claim of ``_INVARIANT`` once per
+relabeling class.  A per-table claim (``_universal``) draws ``(t, z)``
+cases, a raw table and the zero under test, from ``cases(ctx)``; its
+hypothesis and conclusion take that pair and compare derived factors and
+composites as tuples from the raw-table kernels.  The claims about a
+zero (``_zeroed``) draw each table with a constant diagonal once, that
+value as its zero: each of their hypotheses implies x∘x = 0, so no other
+zero can meet it.  The side domains of ``ClaimContext`` (locally-zero
+and operand-valued tables), the associativity triples and the uniqueness
+counts are raw as well.  A Groupoid is built only for a recorded
+counterexample, or where a claim calls ``classify``.
 
 When the job is large and the platform can fork, ``verify_claims`` runs
 its claims on W processes: itself and W - 1 forked children, each taking
@@ -112,6 +113,32 @@ def _all_tables(order: int) -> tuple:
     ascending by row-major flattened cells; the tables share their rows."""
     rows = tuple(itertools.product(range(order), repeat=order))
     return tuple(itertools.product(rows, repeat=order))
+
+
+@functools.cache
+def _classes(n: int) -> dict:
+    """{least table: size} of each class {t^σ} of relabelings, ascending, keyed
+    by _all_tables's tuples.  A table not yet seen is the least of its class: it
+    marks each σ-image seen by index, in base n a sum of σ(v) at (σx, σy)."""
+    tables, seen, classes = _all_tables(n), bytearray(table_count(n)), {}
+    weights = [[[s[v] * n ** (n * n - 1 - s[x] * n - s[y]) for v in range(n)]
+                for x in range(n) for y in range(n)] for s in itertools.permutations(range(n))]
+    for i, t in enumerate(tables):
+        if not seen[i]:
+            cells = [v for row in t for v in row]
+            images = {sum(map(list.__getitem__, w, cells)) for w in weights}
+            for j in images:
+                seen[j] = 1
+            classes[t] = len(images)
+    return classes
+
+
+def _relabelings(t, *zeros):
+    """``(t^σ, *σ(zeros))`` for each renaming σ, t^σ(σx, σy) = σ(t(x, y))."""
+    for s in itertools.permutations(range(len(t))):
+        inverse = sorted(range(len(t)), key=s.__getitem__)
+        yield (tuple(tuple(s[t[x][y]] for y in inverse) for x in inverse),
+               *(z if z is None else s[z] for z in zeros))
 
 
 def all_groupoids(order: int):
@@ -302,11 +329,12 @@ def census(order: int, workers=None) -> CensusReport:
                 held[v] -= 1
                 held[v | _UA] += 1
         diagonals = math.comb(n, k) * (n - 1) ** (n - k)
+        count = functools.cache(lambda mask: math.prod(  # once per mask: keys share terms
+            sum(c for v, c in held.items() if v & mask == mask) ** size
+            for _, held, size in classes))
         for key in CENSUS_KEYS:
-            counts[key] += diagonals * sum(
-                sign * math.prod(sum(c for v, c in held.items() if v & mask == mask) ** size
-                                 for _, held, size in classes)
-                for sign, ks, mask in terms[key] if k in ks)
+            counts[key] += diagonals * sum(sign * count(mask)
+                                           for sign, ks, mask in terms[key] if k in ks)
     _debug("order-%d census in %.3f s", order, time.perf_counter() - start)
     return CensusReport(order, table_count(order), counts)
 
@@ -347,11 +375,15 @@ class ClaimContext:
     """What a claim runner may draw on: the order, the main domain of raw
     tables (``samples``, filtered by ``where``) and per-claim seeded RNGs."""
 
-    def __init__(self, order, mode, seed=None, samples=None):
+    def __init__(self, order, mode, seed=None, samples=None, classes=None, sizes=None):
         self.order = order
         self.mode = mode  # "exhaustive" | "sampled"
         self.seed = seed
         self.samples = samples
+        # given _classes of the samples, a marked claim runs on their least tables and sizes
+        self.by_class = classes and ClaimContext(order, mode, seed, tuple(classes), sizes=classes)
+        self.sizes = sizes
+        self.evaluated = 0  # the cases _tally has run
         self._pools = {}
 
     def where(self, test):
@@ -397,21 +429,34 @@ class ClaimContext:
                         for x in elements)
 
 
-def _tally(cases, holds, zeroed=False):
+def _tally(cases, holds, zeroed=False, ctx=None):
     """The loop behind every claim runner: ``(checked, counterexamples)``.
 
     Every case is counted, and the first MAX_COUNTEREXAMPLES on which
     ``holds(*case)`` is false are recorded.  A case is a tuple of raw
     tables, recorded as one Groupoid each (a pair or a triple is listed
     flattened), or with ``zeroed`` a ``(t, z)`` pair, recorded as
-    ``Groupoid(t, zero=z)``.
+    ``Groupoid(t, zero=z)``.  The cases run are added to ``ctx.evaluated``.
+    With ``ctx.sizes``, a case is the least of its relabeling class and
+    counts as the class; every member of a failing class must fail, so the
+    least members of the first such classes are the first failing cases.
     """
-    checked = 0
+    sizes = ctx and ctx.sizes
+    cases = list(cases) if sizes else cases
+    evaluated = 0
     failed = []
-    for case in cases:
-        checked += 1
+    for evaluated, case in enumerate(cases, 1):
         if not holds(*case) and len(failed) < MAX_COUNTEREXAMPLES:
             failed.append(case)
+    checked = sum(sizes[case[0]] for case in cases) if sizes else evaluated
+    if sizes and failed:
+        failed = sorted({member for case in failed for member in _relabelings(*case)})
+        evaluated += len(failed)
+        if any(holds(*member) for member in failed):
+            raise InternalError("a relabeling-invariant claim holds on a relabeled failure")
+        del failed[MAX_COUNTEREXAMPLES:]
+    if ctx is not None:
+        ctx.evaluated += evaluated
     if zeroed:
         return checked, [Groupoid(t, zero=z) for t, z in failed]
     return checked, [Groupoid(t) for case in failed for t in case]
@@ -457,11 +502,8 @@ def _universal(cid, statement, conclusion, hypothesis=None, cases=_tables,
     def run(ctx):
         if ctx.order < min_order:
             return 0, [], f"not checked below order {min_order}"
-        domain = (
-            (t, z) for t, z in cases(ctx)
-            if hypothesis is None or hypothesis(t, z)
-        )
-        return *_tally(domain, conclusion, zeroed=True), None
+        domain = ((t, z) for t, z in cases(ctx) if hypothesis is None or hypothesis(t, z))
+        return *_tally(domain, conclusion, zeroed=True, ctx=ctx), None
 
     return Claim(cid, statement, expected, run)
 
@@ -479,7 +521,7 @@ def _closed(cid, statement, tables, predicate):
         else:
             half = len(pool) // 2
             pairs = zip(pool[:half], pool[half:])
-        checked, cexs = _tally(pairs, lambda a, b: predicate(_compose(a, b)))
+        checked, cexs = _tally(pairs, lambda a, b: predicate(_compose(a, b)), ctx=ctx)
         note = "counterexamples listed as flattened pairs" if cexs else None
         return checked, cexs, note
 
@@ -536,9 +578,8 @@ def _run_associative(ctx):
         picks = iter(ctx.rng("assoc").choices(ctx.samples, k=3 * trials))
         triples = zip(picks, picks, picks)
     compose = _compose.at(ctx.order)
-    checked, cexs = _tally(
-        triples, lambda f, g, h: compose(compose(f, g), h) == compose(f, compose(g, h)),
-    )
+    holds = lambda f, g, h: compose(compose(f, g), h) == compose(f, compose(g, h))
+    checked, cexs = _tally(triples, holds, ctx=ctx)
     if cexs:
         note = ((note + "; ") if note else "") + "counterexamples listed as flattened triples"
     return checked, cexs, note
@@ -552,7 +593,7 @@ def _run_center_agreement(ctx):
         return 0, [], (
             f"exhaustive center scan is defined only up to order {EXHAUSTIVE_ORDER_LIMIT}"
         )
-    return *_tally(zip(ctx.samples), lambda t: _locally_zero(t) == _is_central(t)), None
+    return *_tally(zip(ctx.samples), lambda t: _locally_zero(t) == _is_central(t), ctx=ctx), None
 
 
 CLAIMS = [
@@ -801,13 +842,28 @@ CLAIMS = [
 
 REGISTRY = {c.id: c for c in CLAIMS}
 
+# The claims that hold of (t, z) exactly when they hold of (t^σ, σ(z)) for each renaming σ,
+# checked once per class of ``_classes`` when exhaustive: none reads the orient or skew
+# factor or bi-diagonal, which follow only x ↦ n - 1 - x.
+_INVARIANT = frozenset("""thm-2.4-identity prop-2.6-projections-central center-agreement
+    thm-3.1.3-strong-ua cor-3.1.4-ua-unique thm-3.2.3-au-universal cor-3.2.4-au-unique
+    cor-3.2.5-strong-u-normal prop-3.2-similar-factor-strong prop-3.2.7-prime-implies-u-normal
+    prop-3.2.10-statement prop-3.2.10-proof thm-3.3.1-factor-primes cor-3.3.2-ua-refactor
+    cor-3.3.3-au-refactor cor-3.3.4-strong-refactor prop-5.1-semi-neutral-prime-composite
+    cor-5.2-semi-neutral-semi-normal prop-5.4-b1-similar-semi-neutral
+    cor-5.5-strong-b1-semi-normal cor-5.6-strong-b1-semi-composite prop-5.9-magma
+    prop-5.9-group""".split())
+
 
 def _run_claim(claim, ctx):
+    """``(report, cases evaluated, seconds)``, a marked claim on ``ctx.by_class``."""
     start = time.perf_counter()
+    ctx = ctx.by_class if ctx.by_class and claim.id in _INVARIANT else ctx
+    evaluated = ctx.evaluated
     checked, cexs, note = claim.runner(ctx)
     report = ClaimReport(claim.id, claim.statement, ctx.order, ctx.mode, checked,
                          not cexs, claim.expected, tuple(cexs), note)
-    return report, time.perf_counter() - start
+    return report, ctx.evaluated - evaluated, time.perf_counter() - start
 
 
 def _fan_out(run, count, workers):
@@ -902,17 +958,20 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
             )
         mode = "exhaustive"
         start = time.perf_counter()
-        samples = _all_tables(order)  # the cache is built before any fork
+        samples = _all_tables(order)  # the caches are built before any fork
         _debug("order-%d table cache ready in %.3f s", order, time.perf_counter() - start)
+        start = time.perf_counter()
+        classes = _classes(order)
+        _debug("order-%d relabeling classes: %d in %.3f s",
+               order, len(classes), time.perf_counter() - start)
     else:
         sample = _positive(sample, "sample count")
         mode = "sampled"
-        if seed is None:
-            seed = 0
+        seed = 0 if seed is None else seed
         start = time.perf_counter()
-        samples = tuple(_random_tables(order, sample, seed))
+        samples, classes = tuple(_random_tables(order, sample, seed)), None
         _debug("drew %d order-%d tables in %.3f s", sample, order, time.perf_counter() - start)
-    ctx = ClaimContext(order, mode, seed=seed, samples=samples)
+    ctx = ClaimContext(order, mode, seed=seed, samples=samples, classes=classes)
     weight = len(samples) * len(selected)
     workers = min(_resolve_workers(workers, weight), len(selected))
     if workers <= 1:
@@ -922,6 +981,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         raw = _fan_out(lambda i: _run_claim(selected[i], ctx), len(selected), workers)
         _debug("%d claims on %d processes in %.3f s",
                len(selected), workers, time.perf_counter() - start)
-    for report, elapsed in raw:
-        _debug("claim %s: %d checked in %.3f s", report.claim, report.checked, elapsed)
-    return [report for report, _ in raw]
+    for report, evaluated, elapsed in raw:
+        _debug("claim %s: %d checked in %d evaluations in %.3f s",
+               report.claim, report.checked, evaluated, elapsed)
+    return [report for report, _, _ in raw]

@@ -8,7 +8,9 @@ constant-diagonal and no-operand-cell tests of the claim verifier), and
 the cell-by-cell table validation.  The tests keep them as oracles for
 ``semigroup._compose``, both forms of every flag in ``core`` and
 ``enumeration``, ``predicate_vector``, ``classify`` and
-``Groupoid.__post_init__``.
+``Groupoid.__post_init__``.  ``ref_relabel`` renames the elements of a
+table cell by cell, the oracle for ``enumeration._relabelings`` and
+``_classes``.
 """
 
 from binsys import (
@@ -27,6 +29,17 @@ def ref_compose(gt, ht):
         tuple(ht[gt[x][y]][gt[y][x]] for y in range(n))
         for x in range(n)
     )
+
+
+def ref_relabel(t, sigma):
+    """t^σ, the table with σ(x)∘σ(y) = σ(x∘y): each cell written at its
+    renamed place."""
+    n = len(t)
+    rows = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[sigma[x]][sigma[y]] = sigma[t[x][y]]
+    return tuple(map(tuple, rows))
 
 
 def ref_product(g, h):

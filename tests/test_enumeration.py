@@ -15,6 +15,7 @@ import time
 import pytest
 
 import tables
+from reference_kernel import ref_relabel
 from scan_oracles import census_per_pair, randrange_tables, sweep_census
 from binsys import core, enumeration, semigroup
 from binsys import (
@@ -289,6 +290,16 @@ class TestCensus:
     def test_pair_classes_match_per_pair_product(self, n):
         assert census(n).counts == census_per_pair(n)
 
+    @pytest.mark.parametrize("n, digest", [
+        (16, "c64d115b426b56ca5900da22a9cbf0e7a7769adcbc8045d7234a582ebc67add4"),
+        (64, "7f1d646b79b4b1eaa811a7eef38237e3de307abcaee1df1239151b0bb07de088"),
+    ])
+    def test_large_order_counts_pinned(self, n, digest):
+        # recorded before the census counted each distinct mask once per k;
+        # the counts run to thousands of digits, so they are hashed in hex
+        counts = [(key, hex(v)) for key, v in census(n).counts.items()]
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
+
     def test_worker_count_does_not_change_results(self):
         assert census(2, workers=3).counts == tables.CENSUS2
 
@@ -442,6 +453,189 @@ class TestRegistry:
             "prop-5.9-magma",
             "center-agreement",
         }
+
+
+def hypothesis_tables(order, seed):
+    """A seeded set of raw tables of the order, built diagonal and swap orbit
+    at a time, on which every marked claim's hypothesis holds somewhere:
+    uniform, strong, strong over a constant diagonal, idempotent, with a
+    left-projection body, symmetric, locally zero, bi-diagonal, strong with
+    no operand-valued cell (order >= 4), the semi-neutral tables and
+    relabeled cyclic groups."""
+    rng = random.Random(f"marks:{order}:{seed}")
+    n, elements = order, range(order)
+
+    def build(diagonal, pair):
+        rows = [[None] * n for _ in elements]
+        for x in elements:
+            rows[x][x] = diagonal(x)
+        for x, y in itertools.combinations(elements, 2):
+            rows[x][y], rows[y][x] = pair(x, y)
+        return tuple(map(tuple, rows))
+
+    def any_value(*_):
+        return rng.randrange(n)
+
+    def any_pair(x, y):
+        return rng.randrange(n), rng.randrange(n)
+
+    def strong_pair(x, y):
+        return tuple(rng.sample(elements, 2))
+
+    def no_op_pair(x, y):
+        return tuple(rng.sample([v for v in elements if v not in (x, y)], 2))
+
+    def bi_pair(x, y):
+        return (rng.randrange(n),) * 2 if x + y == n - 1 else any_pair(x, y)
+
+    def constant(*_, z=rng.randrange(n)):
+        return z
+
+    kinds = [
+        (any_value, any_pair), (any_value, strong_pair), (constant, strong_pair),
+        (constant, any_pair), (lambda x: x, any_pair), (any_value, lambda x, y: (x, y)),
+        (any_value, lambda x, y: (rng.randrange(n),) * 2),
+        (lambda x: x, lambda x, y: rng.choice(((x, y), (y, x)))), (any_value, bi_pair),
+    ]
+    if n >= 4:
+        kinds.append((lambda x: rng.choice([v for v in elements if v != x]), no_op_pair))
+    found = [build(diagonal, pair) for diagonal, pair in kinds for _ in range(30)]
+    found += [core._semi_neutral_table(n, z) for z in elements]
+    cyclic = tuple(tuple((x + y) % n for y in elements) for x in elements)
+    found += [ref_relabel(cyclic, rng.sample(elements, n)) for _ in range(3)]
+    return found
+
+
+def renamings(order):
+    """Every renaming at order 3; the reversal and six seeded ones at 4."""
+    if order <= 3:
+        return list(itertools.permutations(range(order)))
+    rng = random.Random(order)
+    return [tuple(range(order))[::-1]] + [tuple(rng.sample(range(order), order)) for _ in range(6)]
+
+
+def unreduced(cid, order, samples):
+    """``(checked, passed)`` of the claim's own runner on these tables."""
+    ctx = enumeration.ClaimContext(order, "exhaustive", samples=tuple(samples))
+    checked, cexs, _ = REGISTRY[cid].runner(ctx)
+    return checked, not cexs
+
+
+class TestRelabelingClasses:
+    """The exhaustive run checks each claim of ``enumeration._INVARIANT``
+    on the least table of each relabeling class, weighted by its size."""
+
+    @pytest.mark.parametrize("order, count", [(1, 1), (2, 10), (3, 3330)])
+    def test_classes(self, order, count):
+        # OEIS A001329: 1, 10, 3330 magmas up to isomorphism
+        classes = enumeration._classes(order)
+        assert len(classes) == count
+        assert sum(classes.values()) == table_count(order)
+        assert list(classes) == sorted(classes)
+        cached = set(map(id, enumeration._all_tables(order)))
+        assert all(id(t) in cached for t in classes)
+        for t, size in classes.items():
+            images = {ref_relabel(t, s) for s in itertools.permutations(range(order))}
+            assert min(images) == t and len(images) == size
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_relabelings_match_reference(self, order):
+        t = tuple(enumeration._random_tables(order, 1, order))[0]
+        perms = list(itertools.permutations(range(order)))
+        assert list(enumeration._relabelings(t, 1)) == [(ref_relabel(t, s), s[1]) for s in perms]
+        assert list(enumeration._relabelings(t, None)) == [(ref_relabel(t, s), None) for s in perms]
+        assert list(enumeration._relabelings(t)) == [(ref_relabel(t, s),) for s in perms]
+
+    def test_marks(self):
+        # the u-family, the identity and center claims and the section-5
+        # claims on a zero; not the j-family, associativity, the side
+        # domains, the one-table claims or prop-5.3
+        marked = enumeration._INVARIANT
+        assert len(marked) == 23 and marked <= set(REGISTRY)
+        assert {c for c in marked if c.startswith(("thm-3", "cor-3", "prop-3"))} == {
+            c.id for c in CLAIMS if c.id.startswith(("thm-3", "cor-3", "prop-3"))
+        } - {"prop-3.2.8-right-zero-similar-prime"}
+        assert not {c for c in marked if "4." in c.split("-")[1]}
+        assert not marked & {"thm-2.4-associative", "cor-2.7-center-closed", "op-product-closed",
+                             "prop-2.8-center-self-inverse", "prop-5.3-semi-neutral-product"}
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("cid", sorted(enumeration._INVARIANT))
+    def test_mark_holds_under_renaming(self, cid, order):
+        # the claim's runner, unreduced, gives the same count and verdict
+        # on a set of tables and on its relabeling by each renaming
+        samples = hypothesis_tables(order, 1)
+        base = unreduced(cid, order, samples)
+        # no table of order 3 meets prop-3.2.10-proof's hypothesis, and
+        # center-agreement checks nothing above order 3
+        vacuous = {(3, "prop-3.2.10-proof"), (4, "center-agreement")}
+        assert (base[0] > 0) == ((order, cid) not in vacuous)
+        for sigma in renamings(order):
+            assert unreduced(cid, order, [ref_relabel(t, sigma) for t in samples]) == base, sigma
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_mark_check_tells_bi_diagonal(self, order):
+        # prop-4.3.5's hypothesis reads bi-diagonal, which only the reversal
+        # keeps: its count moves under another renaming, so it fails the
+        # check above.  thm-4.3.1 reads the orient and skew factors, but it
+        # holds on every table, so no renaming can move its verdict.
+        samples = hypothesis_tables(order, 1)
+        moved = {cid: {unreduced(cid, order, [ref_relabel(t, s) for t in samples])
+                       for s in renamings(order)}
+                 for cid in ("prop-4.3.5-bi-diagonal-partial", "thm-4.3.1-orient-skew")}
+        assert len(moved["prop-4.3.5-bi-diagonal-partial"]) > 1
+        assert moved["thm-4.3.1-orient-skew"] == {(len(samples), True)}
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_classes_report_as_every_table(self, order):
+        # one runner, two contexts: every claim's report is the same with
+        # and without classes, and at order 3 each marked claim evaluates
+        # fewer cases (at order 2 a failing class's members can outnumber
+        # the classes it saves)
+        samples = enumeration._all_tables(order)
+        full = enumeration.ClaimContext(order, "exhaustive", samples=samples)
+        by_class = enumeration.ClaimContext(order, "exhaustive", samples=samples,
+                                            classes=enumeration._classes(order))
+        for claim in CLAIMS:
+            report, evaluated, _ = enumeration._run_claim(claim, by_class)
+            expected, every, _ = enumeration._run_claim(claim, full)
+            assert report.to_dict() == expected.to_dict(), claim.id
+            if claim.id not in enumeration._INVARIANT:
+                assert evaluated == every, claim.id
+            elif order == 3 and every:
+                assert evaluated < every, claim.id
+
+    def test_failing_classes_list_the_first_failures(self):
+        # center-agreement, prop-3.2.10-statement and prop-5.9-magma fail
+        # at order 3: their five counterexamples are the first five of all
+        # 19,683 tables, drawn from the members of their first failing classes
+        for cid in ("center-agreement", "prop-3.2.10-statement", "prop-5.9-magma"):
+            samples = enumeration._all_tables(3)
+            full = enumeration.ClaimContext(3, "exhaustive", samples=samples)
+            by_class = enumeration.ClaimContext(3, "exhaustive", samples=samples,
+                                                classes=enumeration._classes(3))
+            report = enumeration._run_claim(REGISTRY[cid], by_class)[0]
+            assert len(report.counterexamples) == enumeration.MAX_COUNTEREXAMPLES
+            assert report.counterexamples == enumeration._run_claim(REGISTRY[cid], full)[0].counterexamples
+
+    def test_member_that_passes_is_an_internal_error(self):
+        # a conclusion that fails on one least table but holds on the rest
+        # of its class was marked wrongly
+        classes = enumeration._classes(2)
+        ctx = enumeration.ClaimContext(2, "exhaustive", samples=enumeration._all_tables(2),
+                                       classes=classes).by_class
+        least = next(t for t, size in classes.items() if size > 1)
+        with pytest.raises(InternalError):
+            enumeration._tally(((t, None) for t in ctx.samples), lambda t, z: t != least,
+                               zeroed=True, ctx=ctx)
+
+    def test_sampled_runs_have_no_classes(self):
+        # a sample is not closed under renaming: every claim runs on it as drawn
+        ctx = enumeration.ClaimContext(3, "sampled", seed=1,
+                                       samples=tuple(enumeration._random_tables(3, 50, 1)))
+        assert ctx.by_class is None
+        report, evaluated, _ = enumeration._run_claim(REGISTRY["thm-2.4-identity"], ctx)
+        assert report.checked == evaluated == 50
 
 
 class TestVerifyClaims:
@@ -685,14 +879,28 @@ class TestVerifyClaims:
         verify_claims(2, claims=["thm-2.4-identity", "prop-5.9-magma"])
         verify_claims(4, sample=20, seed=1, claims=["thm-2.4-associative"], workers=1)
         messages = [r.getMessage() for r in caplog.records if r.name == "binsys"]
-        assert len(messages) == 5
+        assert len(messages) == 6
         assert messages[0].startswith("order-2 table cache ready in ")
-        assert messages[1].startswith("claim thm-2.4-identity: 16 checked in ")
-        # the 8 symmetric order-2 tables
-        assert messages[2].startswith("claim prop-5.9-magma: 8 checked in ")
-        assert messages[3].startswith("drew 20 order-4 tables in ")
-        assert messages[4].startswith("claim thm-2.4-associative: 20 checked in ")
+        assert messages[1].startswith("order-2 relabeling classes: 10 in ")
+        # both claims are marked: one least table per class is evaluated,
+        # and every member of a failing class
+        assert messages[2].startswith("claim thm-2.4-identity: 16 checked in 10 evaluations in ")
+        # the 8 symmetric order-2 tables: 4 classes of 2, and the 4
+        # members of the 2 classes that fail
+        assert messages[3].startswith("claim prop-5.9-magma: 8 checked in 8 evaluations in ")
+        assert messages[4].startswith("drew 20 order-4 tables in ")
+        # a sampled run has no classes: each case is evaluated once
+        assert messages[5].startswith(
+            "claim thm-2.4-associative: 20 checked in 20 evaluations in ")
         assert all(m.endswith(" s") for m in messages)
+
+    def test_class_build_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="binsys")
+        verify_claims(3, claims=["center-agreement"], workers=1)
+        messages = [r.getMessage() for r in caplog.records if r.name == "binsys"]
+        assert messages[1].startswith("order-3 relabeling classes: 3330 in ")
+        # 3,330 least tables, then the 6 members of the one failing class
+        assert messages[2].startswith("claim center-agreement: 19683 checked in 3336 evaluations in ")
 
     def test_no_log_by_default(self, caplog):
         verify_claims(2, claims=["thm-2.4-identity"])
