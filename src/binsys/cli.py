@@ -130,7 +130,17 @@ def _cmd_enumerate(args):
             "total": report.total,
             "counts": report.counts,
         }
-        _emit_json(out)
+        # from order 51 the exact counts pass CPython's cap on int-to-str
+        # digits (4300 by default; before 3.10.7 there is no cap and no
+        # getter); lift it for this output alone
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            _emit_json(out)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         return 0
     for g in all_groupoids(args.order):
         print(" ".join(str(v) for row in g.table for v in row))

@@ -16,6 +16,13 @@ of ``semigroup._cellwise`` and the structural flags of ``_flag``.
 
 from __future__ import annotations
 
+__all__ = [
+    "PREDICATES", "DiagonalProfile", "Groupoid", "diagonal_profile", "groupoid",
+    "has_orientation", "has_twisted_orientation", "is_abelian", "is_bi_diagonal",
+    "is_idempotent", "is_locally_zero", "is_semi_neutral", "is_strong", "left_zero",
+    "predicate_vector", "right_zero", "semi_neutral_groupoid",
+]
+
 from collections import namedtuple
 from functools import cache
 from itertools import chain, combinations

@@ -76,6 +76,7 @@ from .factorization import (
     _CHOICES,
     _holds,
     _orient_table,
+    _partially_prime,
     _signature,
     _similar,
     _skew,
@@ -774,8 +775,7 @@ CLAIMS = [
         "prop-4.3.5-bi-diagonal-partial",
         "a non-trivial table with a symmetric anti-diagonal reproduces itself "
         "against its orient factor on the left",
-        # is_partially_prime(g, orient_factor(g), "left") on raw tables
-        lambda t, z: not _is_identity(o := _orient_table(len(t))) and _compose(o, t) == t,
+        lambda t, z: _partially_prime(t, _orient_table(len(t))),
         hypothesis=lambda t, z: _bi_diagonal(t) and not _is_identity(t),
     ),
     _universal(

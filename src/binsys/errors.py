@@ -7,6 +7,12 @@ the first family to exit code 1, the second to exit code 2, and anything
 signalling a broken internal invariant to exit code 3.
 """
 
+__all__ = [
+    "BadLabels", "BadShape", "BadZero", "BinsysError", "ClosureViolation", "InternalError",
+    "MissingZero", "NotOP", "OrderMismatch", "OrderTooLarge", "ParseError", "PreconditionError",
+    "ValidationError",
+]
+
 
 class BinsysError(Exception):
     """Base class for all errors raised by this package."""

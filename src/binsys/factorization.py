@@ -25,13 +25,20 @@ named tuples.
 
 from __future__ import annotations
 
+__all__ = [
+    "METHODS", "ClassificationReport", "FactorPair", "UniquenessReport", "au_holds",
+    "binary_equivalent", "classify", "factorize", "is_partially_prime", "jo_holds", "oj_holds",
+    "orient_factor", "signature_factor", "similar_factor", "skew_factor", "ua_holds",
+    "uniqueness_search",
+]
+
 import itertools
 import math
 from collections import namedtuple
 
 from .core import Groupoid, Table, _left_zero_table, _semi_neutral_table, predicate_vector
 from .errors import InternalError
-from .semigroup import _cellwise, _compose, _pair_map, _same_order, is_identity, product
+from .semigroup import _cellwise, _compose, _is_identity, _pair_map, _same_order, product
 
 # uniqueness_search reports exact counts but materializes at most this
 # many solution pairs before sorting (see UniquenessReport.truncated).
@@ -204,11 +211,14 @@ def is_partially_prime(g: Groupoid, h: Groupoid, side: str = "left") -> bool:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     _same_order(g, h)
-    if is_identity(h):
+    return _partially_prime(g.table, h.table, side)
+
+
+def _partially_prime(t: Table, h: Table, side: str = "left") -> bool:
+    """``is_partially_prime`` on raw tables of one order."""
+    if _is_identity(h):
         return False
-    if side == "left":
-        return _compose(h.table, g.table) == g.table
-    return _compose(g.table, h.table) == g.table
+    return (_compose(h, t) if side == "left" else _compose(t, h)) == t
 
 
 # --- uniqueness of in-shape factorizations ---

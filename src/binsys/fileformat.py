@@ -20,6 +20,8 @@ none, a quoted one is.
 
 from __future__ import annotations
 
+__all__ = ["digraph_to_dot", "graph_to_dot", "parse_dot", "parse_groupoid", "serialize_groupoid"]
+
 import re
 
 from .core import Groupoid

@@ -11,6 +11,8 @@ so ``_make`` and ``_replace``, check and normalize the vertex pairs.
 
 from __future__ import annotations
 
+__all__ = ["Digraph", "SimpleGraph", "all_graphs", "from_graph", "to_digraph", "to_graph"]
+
 from collections import namedtuple
 from itertools import combinations
 from operator import index

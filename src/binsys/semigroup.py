@@ -38,6 +38,8 @@ projection table.
 
 from __future__ import annotations
 
+__all__ = ["commutes", "find_inverse", "in_center", "is_identity", "product"]
+
 from functools import cache
 
 from .core import Groupoid, Table, _compiled, _left_zero_table, _right_zero_table

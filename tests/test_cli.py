@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tables
-from binsys import is_locally_zero, left_zero, parse_groupoid, product
+from binsys import census, is_locally_zero, left_zero, parse_groupoid, product
 from binsys.cli import main
 
 
@@ -150,6 +150,25 @@ class TestEnumerate:
         assert doc["counts"]["abelian"] == 1_048_576
         assert doc["counts"]["locally_zero"] == 64
 
+    @pytest.mark.parametrize("order", [51, 64])
+    def test_census_past_int_digit_cap(self, capsys, order):
+        # order**(order**2) has 4,442 digits at 51 and 7,399 at 64, past
+        # CPython's default cap of 4,300 on int-to-str conversion; the counts
+        # print exactly, and the cap is back in place afterwards
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        code, out, err = run(capsys, "enumerate", "--order", str(order), "--census")
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", int)() == limit
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(out)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        report = census(order)
+        assert (doc["total"], doc["counts"]) == (report.total, report.counts)
+
     @pytest.mark.parametrize("order", ["0", "-1"])
     @pytest.mark.parametrize("extra", [[], ["--census"]])
     def test_order_below_one(self, capsys, order, extra):
@@ -245,6 +264,33 @@ class TestParseFailures:
         assert code == 1
         assert out == ""
         assert "'node'" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("elements: a\nelements: a\ntable:\na\n", "duplicate elements: line"),
+            ("elements: a\nzero:\ntable:\na\n", "empty zero: line"),
+            ("elements: a\ntable: a\n", "table: line takes no inline value"),
+            ("elements: a\nrows:\ntable:\na\n", "unexpected line 'rows:'"),
+        ],
+    )
+    def test_groupoid_file_errors(self, capsys, tmp_path, text, message):
+        f = tmp_path / "bad.gpd"
+        f.write_text(text)
+        assert run(capsys, "classify", str(f)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph { a --", "dangling edge operator"),
+            ("graph { a -- b;", "missing closing '}'"),
+            ("graph { }", "graph has no vertices"),
+        ],
+    )
+    def test_dot_file_errors(self, capsys, tmp_path, text, message):
+        f = tmp_path / "bad.dot"
+        f.write_text(text)
+        assert run(capsys, "graph", "from-dot", str(f)) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", [["classify"], ["graph", "from-dot"]])
     def test_non_utf8_file(self, capsys, tmp_path, command):

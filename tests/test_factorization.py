@@ -396,6 +396,23 @@ class TestSolutionCount:
         with pytest.raises(InternalError, match=message):
             uniqueness_search(right_zero(2), "oj")
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_missing_derived_pair_is_an_invariant_breach(self, monkeypatch, method):
+        # a listing that puts another left factor in the derived one's place
+        # keeps its length, so the listing is not truncated and only the
+        # membership check can tell; the constant table has 2 ua solutions
+        # and 1 for each other method, and every derived pair reproduces it
+        listing = factorization._left_solutions
+
+        def swapped(t, left, m):
+            other = tuple(tuple(1 - v for v in row) for row in left)
+            return [other if lt == left else lt for lt in listing(t, left, m)]
+
+        monkeypatch.setattr(factorization, "_left_solutions", swapped)
+        message = f"derived {method} pair missing from solution set"
+        with pytest.raises(InternalError, match=message):
+            uniqueness_search(groupoid([[0, 0], [0, 0]]), method)
+
 
 class TestBinaryEquivalent:
     def test_skew_pairs_share_a_witness(self):

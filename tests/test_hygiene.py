@@ -6,9 +6,10 @@ once, in its one compiler.  Every function and claim the traced
 benchmark run (``perfbench/layers.py``) wraps must still exist, every
 function its walk reaches must name its module, and the calls the
 benchmark workloads make must still bind.
-The package exports the names it imports eagerly plus those of its lazy
-table, each the very object its module defines, and importing it loads
-neither ``dataclasses`` nor ``inspect``.
+The package exports the names its eager modules list in their
+``__all__`` plus those of its lazy table, each declared once and each
+the very object its module defines, and importing it loads neither
+``dataclasses`` nor ``inspect``.
 The README's Python API example runs as written.
 """
 
@@ -168,13 +169,14 @@ def test_traced_walk_meets_named_functions():
 
 
 def eager_exports() -> dict[str, str]:
-    """Name -> module for each name ``__init__.py`` imports at load time."""
+    """Name -> module for each name ``__init__.py`` star-imports at load
+    time, read from the module's ``__all__``."""
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     return {
-        a.asname or a.name: node.module
+        name: node.module
         for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for a in node.names
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for name in importlib.import_module(f"binsys.{node.module}").__all__
     }
 
 
@@ -193,6 +195,54 @@ def test_all_is_eager_plus_lazy():
     assert not eager.keys() & lazy.keys()
     assert len(set(binsys.__all__)) == len(binsys.__all__)
     assert set(binsys.__all__) == eager.keys() | lazy.keys()
+
+
+# the package's 78 public names; a name dropped from, or added to, a
+# module's __all__ or _LAZY shows here
+PUBLIC_NAMES = frozenset("""
+    ALGEBRA_CLASSES AXIOMS CLAIMS METHODS PREDICATES REGISTRY BadLabels BadShape BadZero
+    BinsysError CensusReport Claim ClaimReport ClassificationReport ClosureViolation Digraph
+    DiagonalProfile FactorPair Groupoid InternalError MissingZero NotOP OrderMismatch
+    OrderTooLarge ParseError PreconditionError SimpleGraph UniquenessReport ValidationError
+    algebra_classes all_graphs all_groupoids au_holds axiom_holds axiom_vector
+    binary_equivalent census classify commutes diagonal_profile digraph_to_dot factorize
+    find_inverse from_graph graph_to_dot groupoid has_orientation has_twisted_orientation
+    in_center is_abelian is_bi_diagonal is_idempotent is_identity is_locally_zero
+    is_partially_prime is_semi_neutral is_strong jo_holds left_zero oj_holds orient_factor
+    parse_dot parse_groupoid predicate_vector product random_groupoids right_zero
+    semi_neutral_groupoid serialize_groupoid signature_factor similar_factor skew_factor
+    table_count to_digraph to_graph ua_holds uniqueness_search verify_claims
+""".split())
+
+
+def declared_names() -> list[str]:
+    """Every name in a literal ``__all__`` under ``src/binsys`` or in
+    ``_LAZY``, with repeats."""
+    names = [name for names in binsys._LAZY.values() for name in names]
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = [ast.unparse(t) for t in getattr(node, "targets", ())]
+            if targets == ["__all__"]:
+                names += ast.literal_eval(node.value)
+    return names
+
+
+def test_each_public_name_declared_once():
+    declared = declared_names()
+    assert len(declared) == len(set(declared)) == len(PUBLIC_NAMES) == 78
+    assert sorted(declared) == sorted(binsys.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_init_lists_no_names_of_its_own():
+    # the only literal list of names in __init__.py is _LAZY, whose modules
+    # it must not import; the eager names come from their modules' __all__
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    literals = sorted(
+        tuple(ast.literal_eval(node)) for node in ast.walk(tree)
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set)) and node.elts
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+    )
+    assert literals == sorted(binsys._LAZY.values())
 
 
 def test_exports_are_their_modules_objects():
