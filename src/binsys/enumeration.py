@@ -20,16 +20,17 @@ Claims read raw tables, and one loop (``_tally``) runs them all: it
 counts the cases a claim draws and records the first few that fail.  The
 main domain, ``ClaimContext.samples``, is every table of the order or a
 seeded sample.  Exhaustive runs check a claim of ``_INVARIANT`` once per
-relabeling class.  A per-table claim (``_universal``) draws ``(t, z)``
-cases, a raw table and the zero under test, from ``cases(ctx)``; its
-hypothesis and conclusion take that pair and compare derived factors and
-composites as tuples from the raw-table kernels.  The claims about a
-zero (``_zeroed``) draw each table with a constant diagonal once, that
-value as its zero: each of their hypotheses implies x∘x = 0, so no other
-zero can meet it.  The side domains of ``ClaimContext`` (locally-zero
-and operand-valued tables), the associativity triples and the uniqueness
-counts are raw as well.  A Groupoid is built only for a recorded
-counterexample, or where a claim calls ``classify``.
+relabeling class, and one of ``_REVERSAL`` once per class {t, t^ρ} of the
+reversal ρ: x ↦ n - 1 - x.  A per-table claim (``_universal``) draws
+``(t, z)`` cases, a raw table and the zero under test, from
+``cases(ctx)``; its hypothesis and conclusion take that pair and compare
+derived factors and composites as tuples from the raw-table kernels.  The
+claims about a zero (``_zeroed``) draw each table with a constant diagonal
+once, that value as its zero: each of their hypotheses implies x∘x = 0,
+so no other zero can meet it.  The side domains of ``ClaimContext``
+(locally-zero and operand-valued tables), the associativity triples and
+the uniqueness counts are raw as well.  A Groupoid is built only for a
+recorded counterexample, or where a claim calls ``classify``.
 
 When the job is large and the platform can fork, ``verify_claims`` runs
 its claims on W processes: itself and W - 1 forked children, each taking
@@ -116,14 +117,20 @@ def _all_tables(order: int) -> tuple:
     return tuple(itertools.product(rows, repeat=order))
 
 
+def _groups(n) -> tuple:
+    """The groups of the two marks at order n: Sₙ, and {identity, x ↦ n - 1 - x}."""
+    identity = tuple(range(n))
+    return tuple(itertools.permutations(identity)), (identity, identity[::-1])
+
+
 @functools.cache
-def _classes(n: int) -> dict:
-    """{least table: size} of each class {t^σ} of relabelings, ascending, keyed
-    by _all_tables's tuples.  A table not yet seen is the least of its class: it
+def _classes(n: int, group: tuple) -> dict:
+    """{least table: size} of each class {t^σ : σ in group}, ascending, keyed by
+    _all_tables's tuples.  A table not yet seen is the least of its class: it
     marks each σ-image seen by index, in base n a sum of σ(v) at (σx, σy)."""
     tables, seen, classes = _all_tables(n), bytearray(table_count(n)), {}
     weights = [[[s[v] * n ** (n * n - 1 - s[x] * n - s[y]) for v in range(n)]
-                for x in range(n) for y in range(n)] for s in itertools.permutations(range(n))]
+                for x in range(n) for y in range(n)] for s in group]
     for i, t in enumerate(tables):
         if not seen[i]:
             cells = [v for row in t for v in row]
@@ -134,9 +141,9 @@ def _classes(n: int) -> dict:
     return classes
 
 
-def _relabelings(t, *zeros):
-    """``(t^σ, *σ(zeros))`` for each renaming σ, t^σ(σx, σy) = σ(t(x, y))."""
-    for s in itertools.permutations(range(len(t))):
+def _relabelings(t, *zeros, group):
+    """``(t^σ, *σ(zeros))`` for each σ of the group, t^σ(σx, σy) = σ(t(x, y))."""
+    for s in group:
         inverse = sorted(range(len(t)), key=s.__getitem__)
         yield (tuple(tuple(s[t[x][y]] for y in inverse) for x in inverse),
                *(z if z is None else s[z] for z in zeros))
@@ -376,13 +383,15 @@ class ClaimContext:
     """What a claim runner may draw on: the order, the main domain of raw
     tables (``samples``, filtered by ``where``) and per-claim seeded RNGs."""
 
-    def __init__(self, order, mode, seed=None, samples=None, classes=None, sizes=None):
+    def __init__(self, order, mode, seed=None, samples=None, classes=None, group=None, sizes=None):
         self.order = order
         self.mode = mode  # "exhaustive" | "sampled"
         self.seed = seed
         self.samples = samples
-        # given _classes of the samples, a marked claim runs on their least tables and sizes
-        self.by_class = classes and ClaimContext(order, mode, seed, tuple(classes), sizes=classes)
+        # per group, a context of the least tables of its _classes, each counted as its class
+        self.by_class = {g: ClaimContext(order, mode, seed, tuple(c), group=g, sizes=c)
+                         for g, c in (classes or {}).items()}
+        self.group = group
         self.sizes = sizes
         self.evaluated = 0  # the cases _tally has run
         self._pools = {}
@@ -438,23 +447,24 @@ def _tally(cases, holds, zeroed=False, ctx=None):
     tables, recorded as one Groupoid each (a pair or a triple is listed
     flattened), or with ``zeroed`` a ``(t, z)`` pair, recorded as
     ``Groupoid(t, zero=z)``.  The cases run are added to ``ctx.evaluated``.
-    With ``ctx.sizes``, a case is the least of its relabeling class and
-    counts as the class; every member of a failing class must fail, so the
-    least members of the first such classes are the first failing cases.
+    With ``ctx.sizes``, a case is the least of its class under ``ctx.group``
+    and counts as the class; every member of a failing class must fail, so
+    the least members of the first such classes are the first failing cases.
     """
     sizes = ctx and ctx.sizes
-    cases = list(cases) if sizes else cases
+    counted = []  # with sizes, the class size of each case drawn
+    cases = (counted.append(sizes[case[0]]) or case for case in cases) if sizes else cases
     evaluated = 0
     failed = []
     for evaluated, case in enumerate(cases, 1):
         if not holds(*case) and len(failed) < MAX_COUNTEREXAMPLES:
             failed.append(case)
-    checked = sum(sizes[case[0]] for case in cases) if sizes else evaluated
+    checked = sum(counted) if sizes else evaluated
     if sizes and failed:
-        failed = sorted({member for case in failed for member in _relabelings(*case)})
+        failed = sorted({m for case in failed for m in _relabelings(*case, group=ctx.group)})
         evaluated += len(failed)
         if any(holds(*member) for member in failed):
-            raise InternalError("a relabeling-invariant claim holds on a relabeled failure")
+            raise InternalError("a claim marked for its group holds on a renamed failure")
         del failed[MAX_COUNTEREXAMPLES:]
     if ctx is not None:
         ctx.evaluated += evaluated
@@ -576,10 +586,17 @@ def _run_associative(ctx):
         else:
             trials = 100_000
             note = f"{trials} random triples (full triple space is too large)"
-        picks = iter(ctx.rng("assoc").choices(ctx.samples, k=3 * trials))
-        triples = zip(picks, picks, picks)
+        # overlapping windows of one draw: each triple's g⋄h is the next one's f⋄g
+        picks = ctx.rng("assoc").choices(ctx.samples, k=trials + 2)
+        triples = zip(picks, picks[1:], picks[2:])
     compose = _compose.at(ctx.order)
-    holds = lambda f, g, h: compose(compose(f, g), h) == compose(f, compose(g, h))
+    lg = lh = gh = None  # the previous triple's g, h and g⋄h
+
+    def holds(f, g, h):
+        nonlocal lg, lh, gh
+        fg = gh if lg is f and lh is g else compose(f, g)
+        lg, lh, gh = g, h, compose(g, h)
+        return compose(fg, h) == compose(f, gh)
     checked, cexs = _tally(triples, holds, ctx=ctx)
     if cexs:
         note = ((note + "; ") if note else "") + "counterexamples listed as flattened triples"
@@ -842,9 +859,10 @@ CLAIMS = [
 
 REGISTRY = {c.id: c for c in CLAIMS}
 
-# The claims that hold of (t, z) exactly when they hold of (t^σ, σ(z)) for each renaming σ,
-# checked once per class of ``_classes`` when exhaustive: none reads the orient or skew
-# factor or bi-diagonal, which follow only x ↦ n - 1 - x.
+# The claims that hold of (t, z) exactly when they hold of (t^σ, σ(z)) for each σ of a group,
+# checked once per class of ``_classes`` under it when exhaustive.  Those of _INVARIANT hold
+# under all of Sₙ: none reads the orient or skew factor or bi-diagonal.  Those of _REVERSAL
+# read them, and these commute only with the reversal x ↦ n - 1 - x: their group is {id, ρ}.
 _INVARIANT = frozenset("""thm-2.4-identity prop-2.6-projections-central center-agreement
     thm-3.1.3-strong-ua cor-3.1.4-ua-unique thm-3.2.3-au-universal cor-3.2.4-au-unique
     cor-3.2.5-strong-u-normal prop-3.2-similar-factor-strong prop-3.2.7-prime-implies-u-normal
@@ -853,12 +871,18 @@ _INVARIANT = frozenset("""thm-2.4-identity prop-2.6-projections-central center-a
     cor-5.2-semi-neutral-semi-normal prop-5.4-b1-similar-semi-neutral
     cor-5.5-strong-b1-semi-normal cor-5.6-strong-b1-semi-composite prop-5.9-magma
     prop-5.9-group""".split())
+_REVERSAL = frozenset("""thm-4.1.2-oj-universal cor-4.1.3-oj-unique thm-4.2.3-op-jo
+    cor-4.2.4-jo-unique prop-4.2.5-op-j-normal thm-4.3.1-orient-skew
+    prop-4.3.5-bi-diagonal-partial""".split())
 
 
 def _run_claim(claim, ctx):
-    """``(report, cases evaluated, seconds)``, a marked claim on ``ctx.by_class``."""
+    """``(report, cases evaluated, seconds)``, a marked claim on its group's ``ctx.by_class``."""
     start = time.perf_counter()
-    ctx = ctx.by_class if ctx.by_class and claim.id in _INVARIANT else ctx
+    if ctx.by_class:  # exhaustive, so Sₙ is small
+        every, reversal = _groups(ctx.order)
+        group = every if claim.id in _INVARIANT else reversal if claim.id in _REVERSAL else None
+        ctx = ctx.by_class.get(group, ctx)
     evaluated = ctx.evaluated
     checked, cexs, note = claim.runner(ctx)
     report = ClaimReport(claim.id, claim.statement, ctx.order, ctx.mode, checked,
@@ -961,9 +985,9 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
         samples = _all_tables(order)  # the caches are built before any fork
         _debug("order-%d table cache ready in %.3f s", order, time.perf_counter() - start)
         start = time.perf_counter()
-        classes = _classes(order)
-        _debug("order-%d relabeling classes: %d in %.3f s",
-               order, len(classes), time.perf_counter() - start)
+        classes = {g: _classes(order, g) for g in _groups(order)}
+        _debug("order-%d classes: %d relabeling, %d reversal in %.3f s", order,
+               *(len(classes[g]) for g in _groups(order)), time.perf_counter() - start)
     else:
         sample = _positive(sample, "sample count")
         mode = "sampled"

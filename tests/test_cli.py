@@ -302,6 +302,18 @@ class TestParseFailures:
         assert err.startswith(f"error: cannot read {f}: ")
         assert "utf-8" in err
 
+    @pytest.mark.parametrize("command, name", [
+        (["classify"], "bck3.gpd"), (["graph", "to-dot"], "star4.gpd"),
+        (["graph", "from-dot"], "star.dot"),
+    ])
+    def test_byte_order_mark(self, capsys, tmp_path, data_dir, command, name):
+        # some editors open a UTF-8 file with a byte-order mark: it is skipped
+        f = tmp_path / name
+        f.write_bytes("\ufeff".encode() + (data_dir / name).read_bytes())
+        marked = run(capsys, *command, str(f))
+        assert marked == run(capsys, *command, str(data_dir / name))
+        assert marked[0] == 0
+
 
 def test_verbose_logs_claim_timings(capsys):
     quiet_code, quiet_out, quiet_err = run(capsys, "verify", "--order", "2")

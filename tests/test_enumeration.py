@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -514,6 +515,13 @@ def renamings(order):
     return [tuple(range(order))[::-1]] + [tuple(rng.sample(range(order), order)) for _ in range(6)]
 
 
+def reduced(order):
+    """An exhaustive context with the classes of both marks' groups."""
+    return enumeration.ClaimContext(
+        order, "exhaustive", samples=enumeration._all_tables(order),
+        classes={g: enumeration._classes(order, g) for g in enumeration._groups(order)})
+
+
 def unreduced(cid, order, samples):
     """``(checked, passed)`` of the claim's own runner on these tables."""
     ctx = enumeration.ClaimContext(order, "exhaustive", samples=tuple(samples))
@@ -528,7 +536,7 @@ class TestRelabelingClasses:
     @pytest.mark.parametrize("order, count", [(1, 1), (2, 10), (3, 3330)])
     def test_classes(self, order, count):
         # OEIS A001329: 1, 10, 3330 magmas up to isomorphism
-        classes = enumeration._classes(order)
+        classes = enumeration._classes(order, tuple(itertools.permutations(range(order))))
         assert len(classes) == count
         assert sum(classes.values()) == table_count(order)
         assert list(classes) == sorted(classes)
@@ -541,10 +549,12 @@ class TestRelabelingClasses:
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_relabelings_match_reference(self, order):
         t = tuple(enumeration._random_tables(order, 1, order))[0]
-        perms = list(itertools.permutations(range(order)))
-        assert list(enumeration._relabelings(t, 1)) == [(ref_relabel(t, s), s[1]) for s in perms]
-        assert list(enumeration._relabelings(t, None)) == [(ref_relabel(t, s), None) for s in perms]
-        assert list(enumeration._relabelings(t)) == [(ref_relabel(t, s),) for s in perms]
+        perms = tuple(itertools.permutations(range(order)))
+        assert enumeration._groups(order)[0] == perms
+        relabelings = functools.partial(enumeration._relabelings, group=perms)
+        assert list(relabelings(t, 1)) == [(ref_relabel(t, s), s[1]) for s in perms]
+        assert list(relabelings(t, None)) == [(ref_relabel(t, s), None) for s in perms]
+        assert list(relabelings(t)) == [(ref_relabel(t, s),) for s in perms]
 
     def test_marks(self):
         # the u-family, the identity and center claims and the section-5
@@ -558,6 +568,13 @@ class TestRelabelingClasses:
         assert not {c for c in marked if "4." in c.split("-")[1]}
         assert not marked & {"thm-2.4-associative", "cor-2.7-center-closed", "op-product-closed",
                              "prop-2.8-center-self-inverse", "prop-5.3-semi-neutral-product"}
+        # the j-family claims on the main domain read the orient or skew
+        # factor or bi-diagonal: they are marked for the reversal alone
+        assert enumeration._REVERSAL == {
+            "thm-4.1.2-oj-universal", "cor-4.1.3-oj-unique", "thm-4.2.3-op-jo",
+            "cor-4.2.4-jo-unique", "prop-4.2.5-op-j-normal", "thm-4.3.1-orient-skew",
+            "prop-4.3.5-bi-diagonal-partial"}
+        assert not marked & enumeration._REVERSAL
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("cid", sorted(enumeration._INVARIANT))
@@ -589,18 +606,16 @@ class TestRelabelingClasses:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_classes_report_as_every_table(self, order):
         # one runner, two contexts: every claim's report is the same with
-        # and without classes, and at order 3 each marked claim evaluates
-        # fewer cases (at order 2 a failing class's members can outnumber
-        # the classes it saves)
-        samples = enumeration._all_tables(order)
-        full = enumeration.ClaimContext(order, "exhaustive", samples=samples)
-        by_class = enumeration.ClaimContext(order, "exhaustive", samples=samples,
-                                            classes=enumeration._classes(order))
+        # and without classes, and at order 3 each claim of either mark
+        # evaluates fewer cases (at order 2 a failing class's members can
+        # outnumber the classes it saves)
+        full = enumeration.ClaimContext(order, "exhaustive", samples=enumeration._all_tables(order))
+        by_class = reduced(order)
         for claim in CLAIMS:
             report, evaluated, _ = enumeration._run_claim(claim, by_class)
             expected, every, _ = enumeration._run_claim(claim, full)
             assert report.to_dict() == expected.to_dict(), claim.id
-            if claim.id not in enumeration._INVARIANT:
+            if claim.id not in enumeration._INVARIANT | enumeration._REVERSAL:
                 assert evaluated == every, claim.id
             elif order == 3 and every:
                 assert evaluated < every, claim.id
@@ -610,21 +625,17 @@ class TestRelabelingClasses:
         # at order 3: their five counterexamples are the first five of all
         # 19,683 tables, drawn from the members of their first failing classes
         for cid in ("center-agreement", "prop-3.2.10-statement", "prop-5.9-magma"):
-            samples = enumeration._all_tables(3)
-            full = enumeration.ClaimContext(3, "exhaustive", samples=samples)
-            by_class = enumeration.ClaimContext(3, "exhaustive", samples=samples,
-                                                classes=enumeration._classes(3))
-            report = enumeration._run_claim(REGISTRY[cid], by_class)[0]
+            full = enumeration.ClaimContext(3, "exhaustive", samples=enumeration._all_tables(3))
+            report = enumeration._run_claim(REGISTRY[cid], reduced(3))[0]
             assert len(report.counterexamples) == enumeration.MAX_COUNTEREXAMPLES
             assert report.counterexamples == enumeration._run_claim(REGISTRY[cid], full)[0].counterexamples
 
     def test_member_that_passes_is_an_internal_error(self):
         # a conclusion that fails on one least table but holds on the rest
         # of its class was marked wrongly
-        classes = enumeration._classes(2)
-        ctx = enumeration.ClaimContext(2, "exhaustive", samples=enumeration._all_tables(2),
-                                       classes=classes).by_class
-        least = next(t for t, size in classes.items() if size > 1)
+        group = enumeration._groups(2)[0]
+        ctx = reduced(2).by_class[group]
+        least = next(t for t, size in ctx.sizes.items() if size > 1)
         with pytest.raises(InternalError):
             enumeration._tally(((t, None) for t in ctx.samples), lambda t, z: t != least,
                                zeroed=True, ctx=ctx)
@@ -633,9 +644,74 @@ class TestRelabelingClasses:
         # a sample is not closed under renaming: every claim runs on it as drawn
         ctx = enumeration.ClaimContext(3, "sampled", seed=1,
                                        samples=tuple(enumeration._random_tables(3, 50, 1)))
-        assert ctx.by_class is None
+        assert ctx.by_class == {}
         report, evaluated, _ = enumeration._run_claim(REGISTRY["thm-2.4-identity"], ctx)
         assert report.checked == evaluated == 50
+
+
+def reversal(order):
+    return tuple(range(order))[::-1]
+
+
+class TestReversalClasses:
+    """The exhaustive run checks each claim of ``enumeration._REVERSAL`` on
+    the least table of each class {t, t^ρ}, ρ the reversal x ↦ n - 1 - x,
+    weighted by its size."""
+
+    @pytest.mark.parametrize("order, count", [(1, 1), (2, 10), (3, 9882)])
+    def test_classes(self, order, count):
+        # Burnside: (n^(n²) + n^⌊n²/2⌋) / 2 classes.  ρ swaps the cells in
+        # pairs, but at odd n it fixes the middle cell, which a table fixed
+        # by ρ must map to the middle element
+        group = enumeration._groups(order)[1]
+        assert group == (tuple(range(order)), reversal(order))
+        classes = enumeration._classes(order, group)
+        assert len(classes) == count == (table_count(order) + order ** (order * order // 2)) // 2
+        assert sum(classes.values()) == table_count(order)
+        assert list(classes) == sorted(classes)
+        cached = set(map(id, enumeration._all_tables(order)))
+        assert all(id(t) in cached for t in classes)
+        for t, size in classes.items():
+            images = {t, ref_relabel(t, reversal(order))}
+            assert min(images) == t and len(images) == size
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_relabelings_match_reference(self, order):
+        t = tuple(enumeration._random_tables(order, 1, order))[0]
+        group = (tuple(range(order)), reversal(order))
+        assert list(enumeration._relabelings(t, 0, group=group)) == [
+            (t, 0), (ref_relabel(t, reversal(order)), order - 1)]
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("cid", sorted(enumeration._REVERSAL))
+    def test_mark_holds_under_reversal(self, cid, order):
+        # the claim's runner, unreduced, gives the same count and verdict
+        # on a set of tables and on its reversal
+        samples = hypothesis_tables(order, 1)
+        base = unreduced(cid, order, samples)
+        assert base[0] > 0
+        assert unreduced(cid, order, [ref_relabel(t, reversal(order)) for t in samples]) == base
+
+    def test_failing_class_expands_over_its_reversal_only(self):
+        # a conclusion that fails on one class {t, t^ρ}, whose other
+        # relabelings pass: the report lists the two members, and no other
+        # renaming of them is checked
+        ctx = reduced(3).by_class[enumeration._groups(3)[1]]
+        t = next(t for t in ctx.samples if len(set(enumeration._relabelings(
+            t, group=enumeration._groups(3)[0]))) == 6)
+        members = sorted({t, ref_relabel(t, reversal(3))})
+        checked, cexs = enumeration._tally(((u, None) for u in ctx.samples),
+                                           lambda u, z: u not in members, zeroed=True, ctx=ctx)
+        assert checked == table_count(3)
+        assert [c.table for c in cexs] == members
+        assert ctx.evaluated == 9882 + 2
+
+    def test_member_that_passes_is_an_internal_error(self):
+        ctx = reduced(3).by_class[enumeration._groups(3)[1]]
+        least = next(t for t, size in ctx.sizes.items() if size == 2)
+        with pytest.raises(InternalError):
+            enumeration._tally(((t, None) for t in ctx.samples), lambda t, z: t != least,
+                               zeroed=True, ctx=ctx)
 
 
 class TestVerifyClaims:
@@ -881,7 +957,7 @@ class TestVerifyClaims:
         messages = [r.getMessage() for r in caplog.records if r.name == "binsys"]
         assert len(messages) == 6
         assert messages[0].startswith("order-2 table cache ready in ")
-        assert messages[1].startswith("order-2 relabeling classes: 10 in ")
+        assert messages[1].startswith("order-2 classes: 10 relabeling, 10 reversal in ")
         # both claims are marked: one least table per class is evaluated,
         # and every member of a failing class
         assert messages[2].startswith("claim thm-2.4-identity: 16 checked in 10 evaluations in ")
@@ -898,7 +974,7 @@ class TestVerifyClaims:
         caplog.set_level(logging.DEBUG, logger="binsys")
         verify_claims(3, claims=["center-agreement"], workers=1)
         messages = [r.getMessage() for r in caplog.records if r.name == "binsys"]
-        assert messages[1].startswith("order-3 relabeling classes: 3330 in ")
+        assert messages[1].startswith("order-3 classes: 3330 relabeling, 9882 reversal in ")
         # 3,330 least tables, then the 6 members of the one failing class
         assert messages[2].startswith("claim center-agreement: 19683 checked in 3336 evaluations in ")
 
@@ -946,6 +1022,27 @@ class TestAssociativeClaim:
                             workers=1)[0]
         assert (rep.checked, rep.passed) == (50, False)
         assert len(rep.counterexamples) == 3 * enumeration.MAX_COUNTEREXAMPLES
+
+    @pytest.fixture
+    def wrong_on_some_left_operands(self, monkeypatch):
+        # right on every pair (t, u) but those whose left operand has
+        # t(0, 0) = 0, about one in n: there cell (0, 1) reads
+        # h(g(0, 1), g(0, 1)).  Drawn tables and the reused inner products
+        # are both left operands, and the claim must meet that subset
+        @semigroup._cellwise
+        def wrong(n, x, y):
+            right = f"u[t{x}_{y}][t{y}_{x}]"
+            return f"(u[t0_1][t0_1] if t0_0 == 0 else {right})" if (x, y) == (0, 1) else right
+
+        monkeypatch.setattr(enumeration, "_compose", wrong)
+
+    def test_wrong_on_some_left_operands_fails(self, wrong_on_some_left_operands):
+        rep = verify_claims(3, claims=["thm-2.4-associative"], workers=1)[0]
+        assert (rep.checked, rep.passed) == (100_000, False)
+        for order in (4, 5, 6):
+            rep = verify_claims(order, sample=50, seed=1, claims=["thm-2.4-associative"],
+                                workers=1)[0]
+            assert (rep.checked, rep.passed) == (50, False), order
 
 
 class TestSideDomains:
