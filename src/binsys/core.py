@@ -10,8 +10,9 @@ labels or zero.
 of the package is a named tuple: no module imports ``dataclasses``, which
 would load ``inspect`` at every command's start.
 
-The package's one compiler, ``_compiled``, lives here: it builds the maps
-of ``semigroup._cellwise`` and the structural flags of ``_flag``.
+The package's one compiler, ``_compiled``, lives here, with ``_fill``, the
+one template language in which ``_flag`` declares the structural flags and
+``semigroup._cellwise`` the maps.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def diagonal_profile(g: Groupoid) -> DiagonalProfile:
     return DiagonalProfile(main=main, anti=anti, reverse=main[::-1], skew=anti[::-1])
 
 
-# --- the one compiler, and the predicates built with it ---
+# --- the one compiler and template language, and the predicates built with them ---
 
 def _compiled(name: str, params: str, head: list, value: str):
     """``def <name>(<params>)`` that runs the lines ``head`` and returns
@@ -253,33 +254,35 @@ def _compiled(name: str, params: str, head: list, value: str):
     return namespace[name]
 
 
+def _fill(template: str, x, y=None, cell="r{}[{}]") -> str:
+    """``template`` on the swap orbit x < y: ``{x}``, ``{y}`` are the elements and
+    ``{d}`` = x∘x, ``{a}`` = x∘y, ``{b}`` = y∘x the cells, read as ``cell`` gives."""
+    return template.format(x=x, y=y, d=cell.format(x, x), a=cell.format(x, y), b=cell.format(y, x))
+
+
 def _flag(name: str, diagonal="", orbit="", anti=False):
     """The raw-table predicate ``name``: ``diagonal`` holds at each element
     x and ``orbit`` on each swap orbit x < y (with ``anti`` only where
-    x + y = n - 1), source templates over the orbit's cells ``{d}`` = x∘x,
-    ``{a}`` = x∘y, ``{b}`` = y∘x and the elements ``{x}``, ``{y}`` that
-    parenthesize any ``or``; the census reads them off the flag.  The first
-    call at an order runs the loop form ``.loop()``; the second compiles
-    ``.at(n)``, named ``<name>_<n>``, which unpacks the rows once and
-    returns one short-circuit ``and`` chain of the templates."""
-
-    def fill(template, x, y=None):
-        return template.format(x=x, y=y, d=f"r{x}[{x}]", a=f"r{x}[{y}]", b=f"r{y}[{x}]")
+    x + y = n - 1), ``_fill`` templates whose ``{x}``, ``{y}`` parenthesize
+    any ``or``; the census reads them off the flag.  The first call at an
+    order runs the loop form ``.loop()``; the second compiles ``.at(n)``,
+    named ``<name>_<n>``, which unpacks the rows once and returns one
+    short-circuit ``and`` chain of the templates."""
 
     @cache
     def loop():
         each = "for x, rx in enumerate(t)"
         pairs = f"{each} for y, ry in enumerate(t) if x < y" + " == len(t) - 1 - x" * anti
-        tests = [f"all({fill(diagonal, 'x')} {each})"] if diagonal else []
-        tests += [f"all({fill(orbit, 'x', 'y')} {pairs})"] if orbit else []
+        tests = [f"all({_fill(diagonal, 'x')} {each})"] if diagonal else []
+        tests += [f"all({_fill(orbit, 'x', 'y')} {pairs})"] if orbit else []
         # a template may read row 0 by name
         return _compiled(name, "t", ["r0 = t[0]"], " and ".join(tests) or "True")
 
     @cache
     def at(n):
         pairs = ((x, n - 1 - x) for x in range(n // 2)) if anti else combinations(range(n), 2)
-        tests = [fill(diagonal, x) for x in range(n) if diagonal]
-        tests += [fill(orbit, x, y) for x, y in pairs if orbit]
+        tests = [_fill(diagonal, x) for x in range(n) if diagonal]
+        tests += [_fill(orbit, x, y) for x, y in pairs if orbit]
         rows = "".join(f"r{x}, " for x in range(n))
         return _compiled(f"{name}_{n}", "t", [f"{rows}= t"], " and ".join(tests) or "True")
 

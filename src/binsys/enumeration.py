@@ -76,6 +76,7 @@ from .errors import EXHAUSTIVE_ORDER_LIMIT, InternalError, OrderTooLarge, Precon
 from .factorization import (
     _CHOICES,
     _holds,
+    _orient,
     _orient_table,
     _partially_prime,
     _signature,
@@ -97,6 +98,7 @@ _SIDE_CAP = 2048
 
 
 def table_count(order: int) -> int:
+    order = _positive(order)
     return order ** (order * order)
 
 
@@ -244,25 +246,26 @@ class CensusReport(namedtuple("CensusReport", "order total counts")):
     __slots__ = ()
 
 
-# Every census flag is a condition on the diagonal and one on each swap orbit
-# {(x, y), (y, x)}, x < y, over its values (a, b) = (t[x][y], t[y][x]).  The
-# atoms are those orbit templates of _CENSUS_FLAGS, then four factor atoms in
-# the same language; _pair_atoms(n, x, y, a, b, fixed) sets bit i where atom i holds.
+# Every census flag, and every factor being the left projection, is a condition on
+# the diagonal and one on each swap orbit {(x, y), (y, x)}, x < y, over its values
+# (a, b) = (t[x][y], t[y][x]).  The atoms are those orbit conditions, then two holds
+# atoms in the same language; _pair_atoms(n, x, y, a, b, fixed) sets bit i where atom i holds.
 _CENSUS_FLAGS = (_idempotent, _strong, _locally_zero, _orientation,
                  _twisted_orientation, _bi_diagonal, _abelian)
+_CENSUS_FACTORS = (_signature, _similar, _orient, _skew)
 _ATOMS = (
     *(f"not anti or ({flag.orbit})" if flag.anti else flag.orbit or "True"
       for flag in _CENSUS_FLAGS),
-    # SIGP, the pair as in the left projection: the signature factor's cells
-    "{a} == {x} and {b} == {y}",
-    # SKWP, the skew factor's cells as in the left projection
-    "({b} == {x} and {a} == {y}) if anti else ({a} == {x} and {b} == {y})",
+    # SIGP, SIMP, ORIP, SKWP: the factor's cells are x at (x, y) and y at (y, x)
+    *(" if anti else ".join("({} == {{x}} and {} == {{y}})".format(*pair)
+                            for pair in (factor.anti, factor.orbit) if pair)
+      for factor in _CENSUS_FACTORS),
     # UA, signature ⋄ similar reproduces the pair; fixed holds the v with t[v][v] = v
     "{a} != {b} or {a} in fixed",
     # JO, skew ⋄ orient reproduces the pair: a = b, or a + b = n - 1 exactly on the anti-diagonal
     "{a} == {b} or ({a} + {b} == n - 1) == anti",
 )
-_SIGP, _SKWP, _UA, _JO = (1 << i for i in range(len(_CENSUS_FLAGS), len(_ATOMS)))
+_SIGP, _, _, _SKWP, _UA, _JO = (1 << i for i in range(len(_CENSUS_FLAGS), len(_ATOMS)))
 _pair_atoms = _compiled("_pair_atoms", "n, x, y, a, b, fixed", ["anti = x + y == n - 1"],
                         " | ".join(f"{1 << i} * ({atom.format(x='x', y='y', a='a', b='b')})"
                                    for i, atom in enumerate(_ATOMS)))
@@ -273,20 +276,18 @@ def _census_terms(n) -> dict:
     number of tables whose diagonal fixes exactly k elements for some k in
     ks, and on each of whose pairs every atom in the mask holds.
 
-    A counted flag is its own atom, at every k with no diagonal condition
-    and at k = n with idempotence, as similar-prime is.  au and oj reproduce
-    every table; the orient table is the identity only at order 1.  A
-    negated prime takes one subtracted term.
+    A counted flag or factor's primality is its own atom, at every k with
+    no diagonal condition (or a factor's ``{x}``) and at k = n with
+    idempotence (or ``{d}``).  au and oj reproduce every table.  A negated
+    prime takes one subtracted term.
     """
     every, idem, other = range(n + 1), (n,), range(n)
-    ks = {"": every, _idempotent.diagonal: idem}
+    ks = {"": every, "{x}": every, _idempotent.diagonal: idem, "{d}": idem}
     terms = {flag.__name__[1:]: [(1, ks[flag.diagonal], 1 << i)]
              for i, flag in enumerate(_CENSUS_FLAGS)}
+    terms.update({f"{factor.__name__[1:]}_prime": [(1, ks[factor.diagonal], 1 << i)]
+                  for i, factor in enumerate(_CENSUS_FACTORS, len(_CENSUS_FLAGS))})
     terms.update({
-        "signature_prime": [(1, every, _SIGP)],
-        "similar_prime": [(1, idem, 0)],
-        "orient_prime": [(1, every, 0)] if n == 1 else [],
-        "skew_prime": [(1, idem, _SKWP)],
         "ua_holds": [(1, every, _UA)],
         "au_holds": [(1, every, 0)],
         "oj_holds": [(1, every, 0)],
@@ -567,6 +568,10 @@ def _is_abelian_group(t):
     return AXIOMS["CO"].check(t, n, None)
 
 
+# the first conjunct of thm-4.3.1, which reads only the order
+_orient_skew_trivial = functools.cache(lambda n: _is_identity(_skew(_orient_table(n))))
+
+
 # no idempotent element and no product equal to an operand
 _no_op_cells = _flag("_no_op_cells", diagonal="{d} != {x}",
                      orbit="{a} not in ({x}, {y}) and {b} not in ({x}, {y})")
@@ -780,7 +785,8 @@ CLAIMS = [
         "thm-4.3.1-orient-skew",
         "the skew factor of the orient factor is trivial, and orient composed "
         "with the table gives its skew factor",
-        lambda t, z: _is_identity(_skew(o := _orient_table(len(t)))) and _compose(o, t) == _skew(t),
+        lambda t, z: _orient_skew_trivial(len(t))
+        and _compose(_orient_table(len(t)), t) == _skew(t),
     ),
     _universal(
         "thm-4.3.3-right-zero-j-composite",
@@ -970,6 +976,7 @@ def verify_claims(order: int, sample=None, seed=None, claims=None, workers=None)
     elif isinstance(claims, str):
         raise ValueError(f"claims takes a sequence of claim ids, not the string {claims!r}")
     else:
+        claims = list(claims)  # an iterator is read once
         unknown = [c for c in claims if not isinstance(c, str) or c not in REGISTRY]
         if unknown:
             raise ValueError(f"unknown claim ids: {unknown}")

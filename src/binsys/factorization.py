@@ -45,28 +45,14 @@ from .semigroup import _cellwise, _compose, _is_identity, _pair_map, _same_order
 MATERIALIZE_LIMIT = 4096
 
 
-# --- the four derived factors, on raw tables, each as its cell rule ---
+# --- the four derived factors, on raw tables, each declared on one swap orbit ---
 
-@_cellwise
-def _signature(n, x, y):
-    return x if x == y else f"t{x}_{y}"
-
-
-# it reads one cell per row: a subscript costs less than unpacking the row
-@_cellwise
-def _similar(n, x, y):
-    return f"t[{x}][{x}]" if x == y else x
-
-
+_signature = _cellwise("_signature", "{x}", ("{a}", "{b}"))
+# its orbit reads no cell, so it subscripts its diagonal: cheaper than unpacking the rows
+_similar = _cellwise("_similar", "{d}", ("{x}", "{y}"))
 # it reads no cell: its display is a constant, and every call returns one object
-@_cellwise
-def _orient(n, x, y):
-    return y if x + y == n - 1 else x
-
-
-@_cellwise
-def _skew(n, x, y):
-    return f"t{y}_{x}" if x + y == n - 1 else f"t{x}_{y}"
+_orient = _cellwise("_orient", "{x}", ("{x}", "{y}"), anti=("{y}", "{x}"))
+_skew = _cellwise("_skew", "{d}", ("{a}", "{b}"), anti=("{b}", "{a}"))
 
 
 def _orient_table(order: int) -> Table:

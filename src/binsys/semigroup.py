@@ -18,22 +18,21 @@ are exactly the central ones does not hold from order 3 up (see
 
 ``_cellwise`` builds ⋄ (``_compose``) and the four derived factors of
 ``factorization`` on raw tables (tuples of tuple rows) through
-``core._compiled``, the package's one compiler, each from its cell rule:
-the source of cell (x, y) at order n, an element or an expression over the
-operands that reads a cell of the first operand t as a local ``t{x}_{y}``
-or by subscript, ``u[t{x}_{y}][t{y}_{x}]`` for ⋄.  At
-each order a map is one function, ``<rule>_<n>``, compiled once per
-process at O(n²) cost (the first ``classify`` at an order compiles all
-five: about 1 ms at order 3, 3 ms at 8, 11 ms at 16, 0.17 s at 64).  If
-its rule reads locals, it first unpacks each row of t into them, so that
-it reads every cell of t once; then it returns one tuple display of the
-n*n cells.  A ⋄ cell costs two subscripts, a cell of the signature or skew
-factor none; the similar factor subscripts its n diagonal cells, and the
-orient factor's display is a constant.  ``product`` wraps ⋄'s result in
-a validated Groupoid; ``commutes``, the factorization flags and the claim
-verifier compare its raw tables directly and build no Groupoid for
-intermediate results; ``is_identity`` compares with the cached left
-projection table.
+``core._compiled``, each from its declaration in the flags' template
+language: a diagonal template and the two cells of a swap orbit, ⋄'s
+being ``u[{a}][{b}]`` at (x, y) and ``u[{b}][{a}]`` at (y, x).  At each
+order a map is one function, ``<name>_<n>``, compiled once per process
+at O(n²) cost (the first ``classify`` at an order compiles all five:
+about 1 ms at order 3, 3 ms at 8, 11 ms at 16, 0.17 s at 64).  If it
+reads t's cells as locals, it first unpacks each row of t into them, so
+that it reads every cell of t once; then it returns one tuple display of
+the n*n cells.  A ⋄ cell costs two subscripts, a cell of the signature
+or skew factor none; the similar factor subscripts its n diagonal cells,
+and the orient factor's display is a constant.  ``product`` wraps ⋄'s
+result in a validated Groupoid; ``commutes``, the factorization flags
+and the claim verifier compare its raw tables directly and build no
+Groupoid for intermediate results; ``is_identity`` compares with the
+cached left projection table.
 """
 
 from __future__ import annotations
@@ -42,38 +41,42 @@ __all__ = ["commutes", "find_inverse", "in_center", "is_identity", "product"]
 
 from functools import cache
 
-from .core import Groupoid, Table, _compiled, _left_zero_table, _right_zero_table
+from .core import Groupoid, Table, _compiled, _fill, _left_zero_table, _right_zero_table
 from .errors import OrderMismatch
 
 
-def _cellwise(cell):
-    """The raw-table map ``f(t, u=None)`` whose cell (x, y) at order n has the
-    source ``cell(n, x, y)``.  The source reads cell (a, b) of the first
-    operand t as ``t[a][b]`` or as the local ``t{a}_{b}``, the only ``_`` it
-    may hold; a map that reads locals first unpacks every row of t into
-    them.  The first call at an order compiles the map, as the function
-    ``<rule>_<n>`` in the file ``<<rule>_<n>>``."""
+def _cellwise(name: str, diagonal: str, orbit: tuple, anti=None):
+    """The raw-table map ``name``, ``f(t, u=None)``, declared as a ``_flag``
+    is: cell (x, x) is ``diagonal``, and on each orbit x < y cells (x, y)
+    and (y, x) are ``orbit``, or ``anti`` where x + y = n - 1.  A map whose
+    orbit reads ``{a}`` or ``{b}`` reads t's cells as locals ``t{p}_{q}``,
+    unpacking the rows into them; any other subscripts them.  The first
+    call at an order compiles ``.at(n)``, the function ``<name>_<n>``."""
+    cell = "t{}_{}" if any(v in "".join(orbit) for v in ("{a}", "{b}")) else "t[{}][{}]"
+
+    def source(n, x, y):
+        pair = anti if anti and x + y == n - 1 else orbit
+        return _fill(diagonal if x == y else pair[x > y], min(x, y), max(x, y), cell)
 
     @cache
-    def compiled(n: int):
+    def at(n: int):
         # every row ends in a comma, so order 1 gives ((v,),) and not (v,)
         display = "".join(
-            "(" + "".join(f"{cell(n, x, y)}, " for y in range(n)) + "), "
+            "(" + "".join(f"{source(n, x, y)}, " for y in range(n)) + "), "
             for x in range(n)
         )
         rows = range(n) if "_" in display else ()
         head = [", ".join(f"t{a}_{b}" for b in range(n)) + f", = t[{a}]" for a in rows]
-        return _compiled(f"{cell.__name__}_{n}", "t, u", head, f"({display})")
+        return _compiled(f"{name}_{n}", "t, u", head, f"({display})")
 
-    mapped = lambda t, u=None: compiled(len(t))(t, u)
-    mapped.at = compiled  # the map compiled for an order, called without dispatch
+    mapped = lambda t, u=None: at(len(t))(t, u)
+    mapped.__name__, mapped.at = name, at  # .at(n) is called without dispatch
+    mapped.diagonal, mapped.orbit, mapped.anti = diagonal, orbit, anti
     return mapped
 
 
 # the table of t ⋄ u from the tables of t and u (same order)
-@_cellwise
-def _compose(n, x, y):
-    return f"u[t{x}_{y}][t{y}_{x}]"
+_compose = _cellwise("_compose", "u[{d}][{d}]", ("u[{a}][{b}]", "u[{b}][{a}]"))
 
 
 def _same_order(g: Groupoid, h: Groupoid) -> None:

@@ -18,7 +18,7 @@ import pytest
 import tables
 from reference_kernel import ref_relabel
 from scan_oracles import census_per_pair, randrange_tables, sweep_census
-from binsys import core, enumeration, semigroup
+from binsys import core, enumeration, factorization, semigroup
 from binsys import (
     CLAIMS,
     Claim,
@@ -48,6 +48,12 @@ class TestAllGroupoids:
     def test_counts(self, n, count):
         assert table_count(n) == count
         assert len(list(all_groupoids(n))) == count
+
+    @pytest.mark.parametrize("order", [-1, 2.0, 0])
+    def test_count_checks_its_order(self, order):
+        with pytest.raises(PreconditionError) as exc:
+            table_count(order)
+        assert repr(order) in str(exc.value)
 
     def test_lexicographic_order(self):
         tables2 = [g.table for g in all_groupoids(2)]
@@ -188,16 +194,29 @@ def orbit_shaped_tables(order, count, seed):
         yield tuple(map(tuple, rows))
 
 
-def decomposed(t):
-    """What the census counts for each flag of ``_CENSUS_FLAGS`` on the
-    table t: that its diagonal condition (none, or idempotence) holds, and
-    its atom, bit i of ``_pair_atoms``, holds on every pair x < y."""
+def census_reading(t):
+    """What the census counts on the table t for each flag of
+    ``_CENSUS_FLAGS``, then for each factor of ``_CENSUS_FACTORS`` being
+    prime: that its diagonal condition holds (none or a factor's ``{x}``,
+    else idempotence), and its atom, bit i of ``_pair_atoms``, holds on
+    every pair x < y."""
     n = len(t)
     fixed = {v for v in range(n) if t[v][v] == v}
     atoms = [enumeration._pair_atoms(n, x, y, t[x][y], t[y][x], fixed)
              for x, y in itertools.combinations(range(n), 2)]
-    return [(not flag.diagonal or len(fixed) == n) and all(a >> i & 1 for a in atoms)
-            for i, flag in enumerate(enumeration._CENSUS_FLAGS)]
+    counted = enumeration._CENSUS_FLAGS + enumeration._CENSUS_FACTORS
+    return [(c.diagonal in ("", "{x}") or len(fixed) == n) and all(a >> i & 1 for a in atoms)
+            for i, c in enumerate(counted)]
+
+
+def decomposed(t):
+    """``census_reading`` of the flags of ``_CENSUS_FLAGS``."""
+    return census_reading(t)[:len(enumeration._CENSUS_FLAGS)]
+
+
+def primes(t):
+    """For each factor of ``_CENSUS_FACTORS``: is it, on t, the left projection?"""
+    return [factor(t) == core._left_zero_table(len(t)) for factor in enumeration._CENSUS_FACTORS]
 
 
 class TestCensusCountsTheFlags:
@@ -223,6 +242,30 @@ class TestCensusCountsTheFlags:
             seen.update(enumerate(flags))
         # every flag both holds and fails on the sample
         assert len(seen) == 2 * len(enumeration._CENSUS_FLAGS)
+
+    def test_factor_diagonals_the_census_can_count(self):
+        # a factor's diagonal is the identity's at every k ({x}) or only at
+        # k = n, where t is idempotent ({d})
+        assert {factor.diagonal for factor in enumeration._CENSUS_FACTORS} <= {"{x}", "{d}"}
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_factor_atoms_every_table(self, order):
+        for t in enumeration._all_tables(order):
+            assert primes(t) == census_reading(t)[len(enumeration._CENSUS_FLAGS):], t
+
+    def test_factor_atoms_seeded_order_five(self):
+        n, seen = 5, set()
+        # with the tables on which the signature, similar and skew factors are prime
+        extra = (core._left_zero_table(n), factorization._orient_table(n),
+                 core._semi_neutral_table(n, 0))
+        for t in (*orbit_shaped_tables(n, 500, seed=25), *extra):
+            got = primes(t)
+            assert got == census_reading(t)[len(enumeration._CENSUS_FLAGS):], t
+            seen.update(enumerate(got))
+        # each factor is prime on some tables and not on others, but the
+        # orient factor, the identity only at order 1
+        orient = enumeration._CENSUS_FACTORS.index(factorization._orient)
+        assert seen == set(itertools.product(range(4), (False, True))) - {(orient, True)}
 
     def test_keys_are_the_public_names(self):
         # the predicate keys come from the flags' names: renaming a private
@@ -746,6 +789,17 @@ class TestVerifyClaims:
         with pytest.raises(ValueError):
             verify_claims(2, claims=["thm-0.0-missing"])
 
+    @pytest.mark.parametrize("make", [iter, lambda ids: (c for c in ids)],
+                             ids=["iterator", "generator"])
+    def test_claim_ids_read_once(self, make):
+        # the ids are checked and then run: a one-pass iterable runs them all
+        ids = ["thm-2.4-identity", "thm-4.1.2-oj-universal"]
+        reports = verify_claims(2, claims=make(ids), workers=1)
+        assert reports == verify_claims(2, claims=tuple(ids), workers=1)
+        assert [r.claim for r in reports] == ids
+        with pytest.raises(ValueError, match="unknown claim ids"):
+            verify_claims(2, claims=make(["thm-2.4-identity", "thm-0.0-missing"]))
+
     @pytest.mark.parametrize("claim", [["x"], {"thm-2.4-identity"}, 7], ids=["list", "set", "int"])
     def test_unhashable_or_non_string_claim_id(self, claim):
         with pytest.raises(ValueError, match="unknown claim ids"):
@@ -1003,10 +1057,8 @@ class TestAssociativeClaim:
         # the claim checks whichever ⋄ the verifier binds, through the map
         # compiled for the order: one wrong cell, (0, 1) read as
         # h(g(0, 1), g(0, 1)), must fail it
-        @semigroup._cellwise
-        def wrong(n, x, y):
-            return "u[t0_1][t0_1]" if (x, y) == (0, 1) else f"u[t{x}_{y}][t{y}_{x}]"
-
+        wrong = semigroup._cellwise("wrong", "u[{d}][{d}]", (
+            "(u[{a}][{a}] if ({x}, {y}) == (0, 1) else u[{a}][{b}])", "u[{b}][{a}]"))
         monkeypatch.setattr(enumeration, "_compose", wrong)
 
     @pytest.mark.parametrize("order, checked", [(2, 4096), (3, 100_000)])
@@ -1029,11 +1081,8 @@ class TestAssociativeClaim:
         # t(0, 0) = 0, about one in n: there cell (0, 1) reads
         # h(g(0, 1), g(0, 1)).  Drawn tables and the reused inner products
         # are both left operands, and the claim must meet that subset
-        @semigroup._cellwise
-        def wrong(n, x, y):
-            right = f"u[t{x}_{y}][t{y}_{x}]"
-            return f"(u[t0_1][t0_1] if t0_0 == 0 else {right})" if (x, y) == (0, 1) else right
-
+        wrong = semigroup._cellwise("wrong", "u[{d}][{d}]", (
+            "(u[{a}][{a}] if ({x}, {y}, t0_0) == (0, 1, 0) else u[{a}][{b}])", "u[{b}][{a}]"))
         monkeypatch.setattr(enumeration, "_compose", wrong)
 
     def test_wrong_on_some_left_operands_fails(self, wrong_on_some_left_operands):

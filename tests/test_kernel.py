@@ -4,6 +4,7 @@ predicates computed on them, against the slow Groupoid paths kept in
 ``reference_kernel``; and Groupoid validation against the cell-by-cell
 checks it replaced."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -83,6 +84,31 @@ FLAGS = {
     **{RAW_PREDICATES[name]: ref for name, ref in REF_PREDICATES.items()},
     enumeration._b1_diagonal: ref_b1_diagonal,
     enumeration._no_op_cells: ref_no_op_cells,
+}
+
+
+# the SHA-256 of the sources that each map (at orders 1-9 and 16) and each
+# flag (its loop form, then orders 1, 2, 3, 5, 8 and 16) hands to the
+# compiler, joined by blank lines: an edit of a declaration or of a builder
+# that changes a compiled kernel changes its digest.  The map digests were
+# recorded while each map was still a Python rule per cell, so the template
+# declarations compile the very same kernels
+MAP_ORDERS, FLAG_ORDERS = (*range(1, 10), 16), (1, 2, 3, 5, 8, 16)
+SOURCE_DIGESTS = {
+    "_compose": "555bfe6456fa8f041dcea62ca4420254c47b1b13cfaf396a9960c3658f995200",
+    "_signature": "c4ad6077f20562a5bc9c833602603c5ec5075e9e5a795d5fcee41823b6ebc707",
+    "_similar": "94481408d78eb17a7927a0d679198b4b3a6ba9e4709ded436581841217df091d",
+    "_orient": "b0a7e41bf2435bcf5f73b144ff770c5dab7627d11ab82fc1d4ff98ea385dcf9f",
+    "_skew": "aeafd8b56dcc75d2fdef74e3ad1a252290bb24a0c762293d504f8e13e5d51776",
+    "_idempotent": "36e99e760b4cfdb78818edd715b34fd893a08d26e884279db3ec0442120a6386",
+    "_strong": "df0e1970debc8df3257e4f270ee0d8b190271b75c03b274455b73df1f9d222b4",
+    "_locally_zero": "3adb10a936448d7cd59c0f6ff6dd872892f7d341796add0c21aad0911adb623d",
+    "_orientation": "17a799502676f3e8a1bed14db9d77494d88f3cd9171b81d5ff7ac30ba79b1d19",
+    "_twisted_orientation": "a9e0472f5598d1479bedd88f237636bdededcc01acc57df14de52cbe04cd9e14",
+    "_bi_diagonal": "aa8d5db15766cd46cffef19fe7f4e581a80bbf234e4e405a74f42ff1ab0b81e5",
+    "_abelian": "3b81df6410c42619f908df14b982dc6d6098be48eb4a2ba3c4c8fd762fe39bee",
+    "_b1_diagonal": "8cda3ad9dbd0a4f5441b970b2b59ee05cb7c74c21cd705af1e18f363fec109d0",
+    "_no_op_cells": "0e5f659dc5aac1c6c91e68e34b69cf8cc8ec00f8996c4c9c6f5fad6fe5e3e2bd",
 }
 
 
@@ -209,6 +235,38 @@ class TestGeneratedKernel:
             for _ in range(2)
         )
         assert_maps_match(gt, ht)
+
+
+class TestSourcesPinned:
+    @pytest.fixture
+    def digest(self, monkeypatch):
+        """The digest of the sources that ``build()`` compiles, recompiled
+        past each form's cache."""
+        sources = []
+
+        def recording(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(core, "compile", recording, raising=False)
+
+        def digest(build):
+            sources.clear()
+            build()
+            return hashlib.sha256("\n\n".join(sources).encode()).hexdigest()
+
+        return digest
+
+    @pytest.mark.parametrize("kernel", [_compose, *(derive for derive, _ in DERIVATIONS)],
+                             ids=lambda kernel: kernel.__name__)
+    def test_map_sources(self, kernel, digest):
+        got = digest(lambda: [kernel.at.__wrapped__(n) for n in MAP_ORDERS])
+        assert got == SOURCE_DIGESTS[kernel.__name__]
+
+    @pytest.mark.parametrize("flag", list(FLAGS), ids=lambda flag: flag.__name__)
+    def test_flag_sources(self, flag, digest):
+        got = digest(lambda: [flag.loop.__wrapped__(), *map(flag.at.__wrapped__, FLAG_ORDERS)])
+        assert got == SOURCE_DIGESTS[flag.__name__]
 
 
 class TestKernelsFrozen:
